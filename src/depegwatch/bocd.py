@@ -6,6 +6,10 @@ Normal-Gamma parameters updated by conjugacy; the one-step predictive is a
 Student-t. All mass arithmetic happens in log space, since run lengths in
 the thousands underflow linear space.
 
+One kernel advances a block of detectors that share hazard, pruning and
+predictive scale but not their prior: the online :func:`step` is a batch of
+one, and :func:`detect_batch` runs a whole prior grid at once.
+
 Two predictive-scale conventions are supported:
 
 * ``paper``: scale^2 = beta / (alpha * kappa), i.e. the Normal-Gamma
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -85,34 +90,24 @@ class DetectorConfig:
 class RunLengthState:
     """Posterior over run lengths after ``t`` observations.
 
-    Arrays are aligned: ``log_joint[k]`` is log P(r_t = runs[k], x_{1:t}) and
-    the Normal-Gamma arrays hold that hypothesis's parameters. ``runs`` is
-    strictly increasing with runs[0] == 0 after the first step.
+    Arrays are aligned: ``log_joint[k]`` is log P(r_t = runs[k], x_{1:t})
+    and ``mu[k]``, ``beta[k]`` are that hypothesis's Normal-Gamma location
+    and rate. Its ``alpha`` and ``kappa`` are the prior's plus ``runs[k]``
+    half-steps and steps, so they live in per-prior run-length tables, not
+    here. ``runs`` is strictly increasing with runs[0] == 0 after the first
+    step.
     """
 
     t: int
     runs: np.ndarray
     log_joint: np.ndarray
     mu: np.ndarray
-    kappa: np.ndarray
-    alpha: np.ndarray
     beta: np.ndarray
     prev_gamma: int
     map_probability: float = 1.0  # posterior of the MAP run length at step t
 
     def posterior(self) -> np.ndarray:
         return np.exp(self.log_joint - log_sum_exp(self.log_joint))
-
-    def joint_map(self) -> dict[int, float]:
-        return {int(r): float(lj) for r, lj in zip(self.runs, self.log_joint)}
-
-    def ng_params(self, run_length: int) -> NGParams:
-        idx = np.nonzero(self.runs == run_length)[0]
-        if idx.size == 0:
-            raise KeyError(f"no hypothesis with run length {run_length}")
-        k = int(idx[0])
-        return NGParams(float(self.mu[k]), float(self.alpha[k]),
-                        float(self.beta[k]), float(self.kappa[k]))
 
 
 class Changepoint(NamedTuple):
@@ -134,51 +129,113 @@ def hazard(cfg: DetectorConfig) -> float:
     return 1.0 / cfg.hazard_lambda
 
 
-def _t_logpdf_arrays(x: float, mu: np.ndarray, alpha: np.ndarray,
-                     beta: np.ndarray, kappa: np.ndarray,
-                     scale_mode: str) -> np.ndarray:
+class _Tables(NamedTuple):
+    """Per-prior functions of the run length r, each of shape (B, n):
+    kappa_r, kappa_{r+1}, alpha_r * kappa_r, nu_r, nu_r * pi, (nu_r + 1) / 2
+    and the Student-t normaliser gammaln((nu_r+1)/2) - gammaln(nu_r/2)."""
+
+    kappa: np.ndarray
+    kappa1: np.ndarray
+    alpha_kappa: np.ndarray
+    nu: np.ndarray
+    nu_pi: np.ndarray
+    half_nu1: np.ndarray
+    log_norm: np.ndarray
+
+
+def _run_tables(alpha0: np.ndarray, kappa0: np.ndarray, n: int) -> _Tables:
+    # accumulate adds 0.5 and 1.0 one run length at a time, so every entry
+    # equals the prior's parameter updated r times by conjugacy, bit for bit
+    def grown(start, inc, size):
+        steps = np.full((start.size, size), inc)
+        steps[:, 0] = start
+        return np.add.accumulate(steps, axis=1)
+
+    alpha = grown(alpha0, 0.5, n)
+    kappa_all = grown(kappa0, 1.0, n + 1)
+    kappa = kappa_all[:, :n]
     nu = 2.0 * alpha
-    if scale_mode == "paper":
-        sigma_sq = beta / (alpha * kappa)
+    half_nu1 = (nu + 1.0) / 2.0
+    return _Tables(kappa, kappa_all[:, 1:], alpha * kappa, nu, nu * math.pi,
+                   half_nu1, gammaln(half_nu1) - gammaln(nu / 2.0))
+
+
+@lru_cache(maxsize=32)
+def _prior_tables(alpha0: float, kappa0: float, n: int) -> np.ndarray:
+    """The tables of one prior stacked as (7, n), for indexing by runs."""
+    stacked = np.stack([t[0] for t in _run_tables(np.array([alpha0]),
+                                                  np.array([kappa0]), n)])
+    stacked.flags.writeable = False  # shared by every caller of the cache
+    return stacked
+
+
+def _row_lse(values: np.ndarray) -> np.ndarray:
+    """Row-wise log_sum_exp of a (B, n) array; -inf for all -inf rows."""
+    peak = values.max(axis=1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    return peak[:, 0] + np.log(np.exp(values - peak).sum(axis=1))
+
+
+def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
+             beta: np.ndarray, tables: _Tables, runs: np.ndarray,
+             prior_mu, prior_beta, cfg: DetectorConfig):
+    """Advance B detectors that share ``cfg`` but not their prior by one
+    observation, in place.
+
+    ``log_joint``, ``mu`` and ``beta`` are (B, n + 1) blocks whose columns
+    1..n hold hypotheses that ``tables`` (B, n) describe; column 0 receives
+    the fresh run-length-zero hypothesis. ``runs`` holds every column's run
+    length after the step, ascending. Pruned hypotheses become -inf and their
+    mass moves to run length zero. Returns each row's MAP column (first
+    maximum, so the smallest run length wins ties) and MAP posterior, and
+    the number of hypotheses pruned.
+    """
+    h = hazard(cfg)
+    m, b = mu[:, 1:], beta[:, 1:]
+    if cfg.predictive_scale == "paper":
+        sigma_sq = b / tables.alpha_kappa
     else:
-        sigma_sq = beta * (kappa + 1.0) / (alpha * kappa)
-    z_sq = (x - mu) ** 2 / (nu * sigma_sq)
-    return (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-            - 0.5 * np.log(nu * math.pi * sigma_sq)
-            - (nu + 1.0) / 2.0 * np.log1p(z_sq))
+        sigma_sq = b * tables.kappa1 / tables.alpha_kappa
+    dev_sq = (x - m) ** 2
+    log_pred = (tables.log_norm - 0.5 * np.log(tables.nu_pi * sigma_sq)
+                - tables.half_nu1 * np.log1p(dev_sq / (tables.nu * sigma_sq)))
+    weighted = log_joint[:, 1:] + log_pred
+    log_joint[:, 0] = _row_lse(weighted) + math.log(h)
+    np.add(weighted, math.log1p(-h), out=log_joint[:, 1:])
+    b += tables.kappa * dev_sq / (2.0 * tables.kappa1)
+    m[...] = (tables.kappa * m + x) / tables.kappa1
+    mu[:, 0] = prior_mu
+    beta[:, 0] = prior_beta
 
-
-def student_t_logpdf(x: float, p: NGParams,
-                     scale_mode: str = "paper") -> float:
-    """Log density of the Student-t predictive at ``x``."""
-    if scale_mode not in PREDICTIVE_SCALES:
-        raise ValidationError(f"scale_mode must be one of {PREDICTIVE_SCALES}")
-    return float(_t_logpdf_arrays(
-        x, np.array([p.mu]), np.array([p.alpha]),
-        np.array([p.beta]), np.array([p.kappa]), scale_mode)[0])
-
-
-def ng_update(p: NGParams, x: float) -> NGParams:
-    """Posterior Normal-Gamma parameters after observing ``x``."""
-    return NGParams(
-        mu=(p.kappa * p.mu + x) / (p.kappa + 1.0),
-        alpha=p.alpha + 0.5,
-        beta=p.beta + p.kappa * (x - p.mu) ** 2 / (2.0 * (p.kappa + 1.0)),
-        kappa=p.kappa + 1.0,
-    )
+    posterior = np.exp(log_joint - _row_lse(log_joint)[:, None])
+    drop = posterior < cfg.prob_floor
+    drop[:, runs > cfg.max_run_length] = True
+    drop[:, 0] = False
+    drop &= log_joint > -math.inf  # not the ones pruned before
+    rows, cols = np.nonzero(drop)  # row-major: each row's runs ascend
+    if rows.size:
+        dropped = log_joint[rows, cols]
+        log_joint[rows, cols] = -math.inf
+        hit, first, count = np.unique(rows, return_index=True,
+                                      return_counts=True)
+        peak = np.maximum.reduceat(dropped, first)
+        mass = peak + np.log(np.add.reduceat(
+            np.exp(dropped - np.repeat(peak, count)), first))
+        log_joint[hit, 0] = np.logaddexp(log_joint[hit, 0], mass)
+        posterior[hit] = np.exp(
+            log_joint[hit] - _row_lse(log_joint[hit])[:, None])
+    map_col = posterior.argmax(axis=1)
+    return map_col, posterior[np.arange(len(map_col)), map_col], rows.size
 
 
 def init_state(cfg: DetectorConfig) -> RunLengthState:
     """Fresh state with all mass on run length zero and prior parameters."""
-    p = cfg.prior
     return RunLengthState(
         t=0,
         runs=np.array([0], dtype=np.int64),
         log_joint=np.array([0.0]),
-        mu=np.array([p.mu]),
-        kappa=np.array([p.kappa]),
-        alpha=np.array([p.alpha]),
-        beta=np.array([p.beta]),
+        mu=np.array([cfg.prior.mu]),
+        beta=np.array([cfg.prior.beta]),
         prev_gamma=0,
     )
 
@@ -191,55 +248,42 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     fresh run-length-zero hypothesis absorbs the hazard-weighted mass of all
     predecessors. A changepoint is emitted at this step whenever the MAP run
     length breaks the previous MAP's continuation (gamma_t != gamma_{t-1}+1);
-    ties at the argmax resolve to the smallest run length.
+    ties at the argmax resolve to the smallest run length. This is the
+    batched kernel with a batch of one.
     """
     if not math.isfinite(x):
         raise ValidationError(f"observation at step {state.t + 1} is not finite")
-    h = hazard(cfg)
-    log_h = math.log(h)
-    log_1mh = math.log1p(-h)
-
-    log_pred = _t_logpdf_arrays(x, state.mu, state.alpha, state.beta,
-                                state.kappa, cfg.predictive_scale)
-    weighted = state.log_joint + log_pred
-    log_r0 = log_sum_exp(weighted) + log_h
-
-    runs = np.concatenate(([0], state.runs + 1))
-    log_joint = np.concatenate(([log_r0], weighted + log_1mh))
-
-    prior = cfg.prior
-    kappa1 = state.kappa + 1.0
-    mu = np.concatenate(([prior.mu], (state.kappa * state.mu + x) / kappa1))
-    alpha = np.concatenate(([prior.alpha], state.alpha + 0.5))
-    beta = np.concatenate(
-        ([prior.beta],
-         state.beta + state.kappa * (x - state.mu) ** 2 / (2.0 * kappa1)))
-    kappa = np.concatenate(([prior.kappa], kappa1))
-
-    log_z = log_sum_exp(log_joint)
-    posterior = np.exp(log_joint - log_z)
-
-    keep = (posterior >= cfg.prob_floor) & (runs <= cfg.max_run_length)
-    keep[0] = True
-    if not keep.all():
-        dropped = log_joint[~keep]
-        log_joint = log_joint.copy()
-        log_joint[0] = np.logaddexp(log_joint[0], log_sum_exp(dropped))
-        runs, log_joint = runs[keep], log_joint[keep]
-        mu, alpha, beta, kappa = mu[keep], alpha[keep], beta[keep], kappa[keep]
-        posterior = np.exp(log_joint - log_sum_exp(log_joint))
-
-    map_idx = int(np.argmax(posterior))  # first max = smallest run length
-    gamma = int(runs[map_idx])
-    map_prob = float(posterior[map_idx])
+    n = state.runs.size
+    oldest = int(state.runs[-1])
+    # table length: a power of two past the oldest run, capped at the
+    # longest run length that pruning keeps
+    size = min(cfg.max_run_length + 1, 1 << oldest.bit_length())
+    tables = _prior_tables(cfg.prior.alpha, cfg.prior.kappa, size)
+    # runs are 0..n-1 unless pruning has cut into the middle
+    tables = _Tables(*tables[:, None, :n] if oldest == n - 1
+                     else tables[:, None, state.runs])
+    block = np.empty((3, 1, n + 1))
+    log_joint, mu, beta = block
+    log_joint[0, 1:], mu[0, 1:], beta[0, 1:] = (state.log_joint, state.mu,
+                                                state.beta)
+    runs = np.empty(n + 1, dtype=np.int64)
+    runs[0] = 0
+    np.add(state.runs, 1, out=runs[1:])
+    map_col, map_prob, pruned = _advance(x, log_joint, mu, beta, tables, runs,
+                                         cfg.prior.mu, cfg.prior.beta, cfg)
+    gamma = int(runs[map_col[0]])
+    if pruned:
+        live = log_joint[0] > -math.inf
+        runs, log_joint, mu, beta = runs[live], log_joint[:, live], \
+            mu[:, live], beta[:, live]
     t = state.t + 1
-    new_state = RunLengthState(t=t, runs=runs, log_joint=log_joint, mu=mu,
-                               kappa=kappa, alpha=alpha, beta=beta,
-                               prev_gamma=gamma, map_probability=map_prob)
+    new_state = RunLengthState(t=t, runs=runs, log_joint=log_joint[0],
+                               mu=mu[0], beta=beta[0], prev_gamma=gamma,
+                               map_probability=float(map_prob[0]))
     changepoint = None
     if gamma != state.prev_gamma + 1:
         changepoint = Changepoint(ts=ts, step=t, map_run_length=gamma,
-                                  probability=map_prob)
+                                  probability=float(map_prob[0]))
     return new_state, changepoint
 
 
@@ -268,7 +312,59 @@ def detect_series(
     return changepoints, trace, state
 
 
-STATE_VERSION = 1
+def detect_batch(series: MetricSeries, priors: Sequence[NGParams],
+                 cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """Run one detector per prior over a series in a single vectorized pass.
+
+    The priors share ``cfg``'s hazard, pruning and predictive scale
+    (``cfg.prior`` is ignored). Each prior sees exactly the recursion of
+    :func:`step`; only the summation order inside the row log-sum-exps
+    differs. Returns a (B, T) mask of the steps that emit a changepoint, the
+    final run lengths (n,) and the final (B, n) log-joint block, in which a
+    prior's pruned hypotheses are -inf.
+
+    Columns are indexed by start step, last step first, so no hypothesis
+    moves: at step t the fresh hypothesis takes column T - t and a column's
+    run length is its index minus T - t. Each step touches only the columns
+    up to the oldest hypothesis still live in any row.
+    """
+    values = series.values
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(
+            f"observation at step {bad[0] + 1} is not finite")
+    n_priors, n_steps = len(priors), len(values)
+    prior_mu = np.array([p.mu for p in priors])
+    prior_beta = np.array([p.beta for p in priors])
+    tables = _run_tables(np.array([p.alpha for p in priors]),
+                         np.array([p.kappa for p in priors]),
+                         max(min(n_steps, cfg.max_run_length + 1), 1))
+    log_joint = np.full((n_priors, n_steps + 1), -math.inf)
+    mu = np.empty((n_priors, n_steps + 1))
+    beta = np.empty((n_priors, n_steps + 1))
+    log_joint[:, n_steps] = 0.0
+    mu[:, n_steps], beta[:, n_steps] = prior_mu, prior_beta
+    all_runs = np.arange(n_steps + 1)
+    emits = np.zeros((n_priors, n_steps), dtype=bool)
+    prev_gamma = np.zeros(n_priors, dtype=np.int64)
+    lo, end = n_steps, n_steps + 1  # the live columns are lo..end-1
+    for t in range(1, n_steps + 1):
+        lo = n_steps - t
+        width = end - lo
+        runs = all_runs[:width]
+        window = _Tables(*(table[:, :width - 1] for table in tables))
+        map_col, _, _ = _advance(
+            float(values[t - 1]), log_joint[:, lo:end], mu[:, lo:end],
+            beta[:, lo:end], window, runs, prior_mu, prior_beta, cfg)
+        emits[:, t - 1] = map_col != prev_gamma + 1
+        prev_gamma = map_col
+        live = np.flatnonzero((log_joint[:, lo:end] > -math.inf).any(axis=0))
+        end = lo + int(live[-1]) + 1
+    return emits, all_runs[:end - lo], log_joint[:, lo:end]
+
+
+STATE_VERSION = 2  # version 1 also stored the alpha and kappa arrays
 
 
 def state_to_dict(state: RunLengthState, cfg: DetectorConfig) -> dict:
@@ -285,8 +381,6 @@ def state_to_dict(state: RunLengthState, cfg: DetectorConfig) -> dict:
         "runs": [int(r) for r in state.runs],
         "log_joint": [float(v) for v in state.log_joint],
         "mu": [float(v) for v in state.mu],
-        "kappa": [float(v) for v in state.kappa],
-        "alpha": [float(v) for v in state.alpha],
         "beta": [float(v) for v in state.beta],
         "config": {
             "hazard_lambda": cfg.hazard_lambda,
@@ -300,10 +394,12 @@ def state_to_dict(state: RunLengthState, cfg: DetectorConfig) -> dict:
 
 
 def state_from_dict(doc: dict) -> tuple[RunLengthState, DetectorConfig]:
-    if doc.get("version") != STATE_VERSION:
+    """Read a version-2 or version-1 snapshot. Version 1's alpha and kappa
+    arrays equal the run-length tables, so they are not read."""
+    if doc.get("version") not in (1, STATE_VERSION):
         raise ValidationError(
             f"unsupported state version {doc.get('version')!r}; "
-            f"expected {STATE_VERSION}")
+            f"expected 1 or {STATE_VERSION}")
     cfg_doc = doc["config"]
     prior = cfg_doc["prior"]
     cfg = DetectorConfig(
@@ -319,8 +415,6 @@ def state_from_dict(doc: dict) -> tuple[RunLengthState, DetectorConfig]:
         runs=np.array(doc["runs"], dtype=np.int64),
         log_joint=np.array(doc["log_joint"], dtype=float),
         mu=np.array(doc["mu"], dtype=float),
-        kappa=np.array(doc["kappa"], dtype=float),
-        alpha=np.array(doc["alpha"], dtype=float),
         beta=np.array(doc["beta"], dtype=float),
         prev_gamma=int(doc["prev_gamma"]),
         map_probability=float(doc.get("map_probability", 1.0)),

@@ -17,6 +17,7 @@ import click
 from . import bocd, evaluation, metrics, pipeline
 from .core import (
     MetricSeries,
+    MissingPriceError,
     NumericalError,
     PriceTable,
     TokenId,
@@ -250,7 +251,10 @@ def tune(ctx: click.Context, metric_file: str, labels_path: str,
          metric_name: str | None, transform: str | None, margin: int,
          f_beta: float, exponent_lo: int, exponent_hi: int,
          hazard_lambda: float, predictive_scale: str, out_path: str) -> None:
-    """Grid-search detector hyperparameters against labelled depegs."""
+    """Grid-search detector hyperparameters against labelled depegs.
+
+    Writes the chosen prior to --out and every prior's score to grid.csv in
+    the same directory."""
     if transform is None:
         transform = pipeline.DEFAULT_TRANSFORMS.get(metric_name or "", "none")
     raw = pipeline.read_metric_series(metric_file, metric_name or "")
@@ -267,7 +271,8 @@ def tune(ctx: click.Context, metric_file: str, labels_path: str,
     space = evaluation.GridSpace(exponent_range=(exponent_lo, exponent_hi))
     base = bocd.DetectorConfig(hazard_lambda=hazard_lambda,
                                predictive_scale=predictive_scale)
-    prior, report = evaluation.tune(train, label_ts, space, scoring, base)
+    reports = evaluation.score_grid(train, label_ts, space, scoring, base)
+    prior, report = evaluation.best_of_grid(reports)
 
     doc = {
         "metric": metric_name or raw.metric_name,
@@ -287,6 +292,12 @@ def tune(ctx: click.Context, metric_file: str, labels_path: str,
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    pipeline.write_csv(
+        os.path.join(os.path.dirname(out_path), "grid.csv"),
+        ["alpha", "beta", "kappa", "F", "P", "R", "n_changepoints"],
+        [(r.prior.alpha, r.prior.beta, r.prior.kappa, r.lf_score, r.precision,
+          r.weighted_recall, len(r.matches) + len(r.false_positives))
+         for r in reports])
     click.echo(f"best prior alpha={prior.alpha} beta={prior.beta} "
                f"kappa={prior.kappa} lF={report.lf_score:.5f} -> {out_path}")
 
@@ -408,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as err:
         err.show()
         return 1
-    except ValidationError as err:
+    except (ValidationError, MissingPriceError) as err:
         click.echo(f"error: {err}", err=True)
         return 2
     except NumericalError as err:

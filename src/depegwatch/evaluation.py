@@ -9,14 +9,18 @@ leading F-score drives hyperparameter grid search.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bocd import DetectorConfig, NGParams, detect_series
+from .bocd import DetectorConfig, NGParams, detect_batch
 from .core import MetricSeries, Timestamp, ValidationError
+
+
+# (priors x steps) cells per batched detection in score_grid
+_BATCH_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,9 +177,48 @@ def grid_configs(space: GridSpace | None = None) -> list[NGParams]:
     ]
 
 
-def _exponent_key(space: GridSpace, p: NGParams) -> tuple[float, float, float]:
-    return (math.log(p.alpha, space.base), math.log(p.beta, space.base),
-            math.log(p.kappa, space.base))
+def score_grid(
+    train_series: MetricSeries,
+    labels: Sequence[Timestamp],
+    space: GridSpace | None = None,
+    scoring_cfg: ScoringConfig | None = None,
+    detector_cfg_base: DetectorConfig | None = None,
+) -> list[ScoreReport]:
+    """Score every grid prior, in grid order, from batched detections (one
+    unless the series is long).
+
+    Raises when the training slice contains no depeg labels (nothing to
+    train against).
+    """
+    if not labels:
+        raise ValidationError("no depegs in training slice")
+    priors = grid_configs(space)
+    scoring_cfg = scoring_cfg or ScoringConfig()
+    base = detector_cfg_base or DetectorConfig()
+    timestamps = train_series.timestamps
+    reports: list[ScoreReport] = []
+    # priors in chunks, so that a long series keeps the blocks small
+    chunk = max(1, _BATCH_CELLS // (len(train_series) + 1))
+    for lo in range(0, len(priors), chunk):
+        emits, _, _ = detect_batch(train_series, priors[lo:lo + chunk], base)
+        reports += [lf_score(labels, timestamps[row].tolist(), scoring_cfg,
+                             prior=prior)
+                    for prior, row in zip(priors[lo:lo + chunk], emits)]
+    return reports
+
+
+def best_of_grid(
+        reports: Sequence[ScoreReport]) -> tuple[NGParams, ScoreReport]:
+    """The prior with the highest leading F-score among grid-ordered reports.
+
+    Ties break toward higher precision, then the lexicographically smallest
+    exponents (the first in grid order), so results are deterministic.
+    """
+    best = max(reports, key=lambda r: (r.lf_score, r.precision))
+    if best.lf_score == 0.0:
+        best = dataclasses.replace(best, note=(
+            "no configuration scored above zero; returned tie-break minimum"))
+    return best.prior, best
 
 
 def tune(
@@ -187,41 +230,9 @@ def tune(
 ) -> tuple[NGParams, ScoreReport]:
     """Grid-search the Normal-Gamma prior that maximizes the leading F-score.
 
-    Ties break toward higher precision, then the lexicographically smallest
-    exponents, so results are deterministic. Raises when the training slice
+    One batched detector pass covers the whole grid (:func:`score_grid`);
+    the choice follows :func:`best_of_grid`. Raises when the training slice
     contains no depeg labels (nothing to train against).
     """
-    if not labels:
-        raise ValidationError("no depegs in training slice")
-    space = space or GridSpace()
-    scoring_cfg = scoring_cfg or ScoringConfig()
-    base = detector_cfg_base or DetectorConfig()
-
-    best: tuple[float, float, NGParams, ScoreReport] | None = None
-    for prior in grid_configs(space):
-        cfg = DetectorConfig(hazard_lambda=base.hazard_lambda, prior=prior,
-                             prob_floor=base.prob_floor,
-                             max_run_length=base.max_run_length,
-                             predictive_scale=base.predictive_scale)
-        changepoints, _, _ = detect_series(train_series, cfg)
-        report = lf_score(labels, [cp.ts for cp in changepoints],
-                          scoring_cfg, prior=prior)
-        candidate = (report.lf_score, report.precision, prior, report)
-        if best is None:
-            best = candidate
-            continue
-        if (candidate[0], candidate[1]) > (best[0], best[1]):
-            best = candidate
-        elif (candidate[0], candidate[1]) == (best[0], best[1]):
-            if _exponent_key(space, prior) < _exponent_key(space, best[2]):
-                best = candidate
-    assert best is not None
-    _, _, prior, report = best
-    if report.lf_score == 0.0:
-        report = ScoreReport(
-            precision=report.precision, weighted_recall=report.weighted_recall,
-            lf_score=report.lf_score, matches=report.matches,
-            false_positives=report.false_positives, scoring=report.scoring,
-            prior=report.prior,
-            note="no configuration scored above zero; returned tie-break minimum")
-    return prior, report
+    return best_of_grid(score_grid(train_series, labels, space, scoring_cfg,
+                                   detector_cfg_base))

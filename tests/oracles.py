@@ -4,14 +4,39 @@ Nothing here reuses the library's sequential code paths: run-length
 posteriors come from explicit path enumeration with batch-form parameter
 updates and scipy densities, and PIN test data is drawn from the mixture's
 generative story directly.
+
+The scalar detector below is the original one-prior, one-step recursion that
+the batched kernel in ``depegwatch.bocd`` replaced. It keeps the Normal-Gamma
+``alpha`` and ``kappa`` arrays per hypothesis, recomputes the Student-t
+normaliser on every step, and serves as the reference for the batched
+``tune`` and for version-1 state documents.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
+from scipy.special import gammaln
 
-from depegwatch.bocd import DetectorConfig, NGParams
+from depegwatch.bocd import (
+    PREDICTIVE_SCALES,
+    Changepoint,
+    DetectorConfig,
+    NGParams,
+    RunLengthPoint,
+    hazard,
+    log_sum_exp,
+)
+from depegwatch.core import MetricSeries, ValidationError
+from depegwatch.evaluation import (
+    GridSpace,
+    ScoreReport,
+    ScoringConfig,
+    grid_configs,
+    lf_score,
+)
 
 
 def batch_posterior(prior: NGParams, seg) -> NGParams:
@@ -90,3 +115,181 @@ def generate_pin_buckets(n, alpha, theta, eps_i, eps_b, eps_s, seed):
             b, s = rng.poisson(eps_b), rng.poisson(eps_s)
         out.append((int(b), int(s)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar run-length recursion (reference for the batched kernel)
+
+
+@dataclass(frozen=True)
+class ScalarState:
+    """Run-length posterior with explicit per-hypothesis Normal-Gamma
+    parameters, as the version-1 state document stores it."""
+
+    t: int
+    runs: np.ndarray
+    log_joint: np.ndarray
+    mu: np.ndarray
+    kappa: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    prev_gamma: int
+    map_probability: float = 1.0
+
+    def posterior(self) -> np.ndarray:
+        return np.exp(self.log_joint - log_sum_exp(self.log_joint))
+
+
+def _t_logpdf_arrays(x, mu, alpha, beta, kappa, scale_mode):
+    nu = 2.0 * alpha
+    if scale_mode == "paper":
+        sigma_sq = beta / (alpha * kappa)
+    else:
+        sigma_sq = beta * (kappa + 1.0) / (alpha * kappa)
+    z_sq = (x - mu) ** 2 / (nu * sigma_sq)
+    return (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
+            - 0.5 * np.log(nu * math.pi * sigma_sq)
+            - (nu + 1.0) / 2.0 * np.log1p(z_sq))
+
+
+def student_t_logpdf(x: float, p: NGParams,
+                     scale_mode: str = "paper") -> float:
+    """Log density of the Student-t predictive at ``x``."""
+    if scale_mode not in PREDICTIVE_SCALES:
+        raise ValidationError(f"scale_mode must be one of {PREDICTIVE_SCALES}")
+    return float(_t_logpdf_arrays(
+        x, np.array([p.mu]), np.array([p.alpha]),
+        np.array([p.beta]), np.array([p.kappa]), scale_mode)[0])
+
+
+def ng_update(p: NGParams, x: float) -> NGParams:
+    """Posterior Normal-Gamma parameters after observing ``x``."""
+    return NGParams(
+        mu=(p.kappa * p.mu + x) / (p.kappa + 1.0),
+        alpha=p.alpha + 0.5,
+        beta=p.beta + p.kappa * (x - p.mu) ** 2 / (2.0 * (p.kappa + 1.0)),
+        kappa=p.kappa + 1.0,
+    )
+
+
+def scalar_init_state(cfg: DetectorConfig) -> ScalarState:
+    p = cfg.prior
+    return ScalarState(t=0, runs=np.array([0], dtype=np.int64),
+                       log_joint=np.array([0.0]), mu=np.array([p.mu]),
+                       kappa=np.array([p.kappa]), alpha=np.array([p.alpha]),
+                       beta=np.array([p.beta]), prev_gamma=0)
+
+
+def scalar_step(state: ScalarState, x: float, cfg: DetectorConfig,
+                ts: int = 0) -> tuple[ScalarState, Changepoint | None]:
+    """One Adams & MacKay update for one prior; ties at the MAP resolve to
+    the smallest run length, pruned mass goes to run length zero."""
+    if not math.isfinite(x):
+        raise ValidationError(f"observation at step {state.t + 1} is not finite")
+    h = hazard(cfg)
+    log_pred = _t_logpdf_arrays(x, state.mu, state.alpha, state.beta,
+                                state.kappa, cfg.predictive_scale)
+    weighted = state.log_joint + log_pred
+    log_r0 = log_sum_exp(weighted) + math.log(h)
+
+    runs = np.concatenate(([0], state.runs + 1))
+    log_joint = np.concatenate(([log_r0], weighted + math.log1p(-h)))
+    prior = cfg.prior
+    kappa1 = state.kappa + 1.0
+    mu = np.concatenate(([prior.mu], (state.kappa * state.mu + x) / kappa1))
+    alpha = np.concatenate(([prior.alpha], state.alpha + 0.5))
+    beta = np.concatenate(
+        ([prior.beta],
+         state.beta + state.kappa * (x - state.mu) ** 2 / (2.0 * kappa1)))
+    kappa = np.concatenate(([prior.kappa], kappa1))
+
+    posterior = np.exp(log_joint - log_sum_exp(log_joint))
+    keep = (posterior >= cfg.prob_floor) & (runs <= cfg.max_run_length)
+    keep[0] = True
+    if not keep.all():
+        dropped = log_joint[~keep]
+        log_joint = log_joint.copy()
+        log_joint[0] = np.logaddexp(log_joint[0], log_sum_exp(dropped))
+        runs, log_joint = runs[keep], log_joint[keep]
+        mu, alpha, beta, kappa = mu[keep], alpha[keep], beta[keep], kappa[keep]
+        posterior = np.exp(log_joint - log_sum_exp(log_joint))
+
+    map_idx = int(np.argmax(posterior))
+    gamma = int(runs[map_idx])
+    map_prob = float(posterior[map_idx])
+    t = state.t + 1
+    new_state = ScalarState(t=t, runs=runs, log_joint=log_joint, mu=mu,
+                            kappa=kappa, alpha=alpha, beta=beta,
+                            prev_gamma=gamma, map_probability=map_prob)
+    changepoint = None
+    if gamma != state.prev_gamma + 1:
+        changepoint = Changepoint(ts=ts, step=t, map_run_length=gamma,
+                                  probability=map_prob)
+    return new_state, changepoint
+
+
+def scalar_detect_series(series: MetricSeries, cfg: DetectorConfig,
+                         state: ScalarState | None = None):
+    """The scalar loop over a series: (changepoints, trace, final state)."""
+    state = state or scalar_init_state(cfg)
+    changepoints, trace = [], []
+    for ts, x in zip(series.timestamps, series.values):
+        state, cp = scalar_step(state, float(x), cfg, ts=int(ts))
+        trace.append(RunLengthPoint(int(ts), state.t, state.prev_gamma,
+                                    state.map_probability))
+        if cp is not None:
+            changepoints.append(cp)
+    return changepoints, trace, state
+
+
+def scalar_state_v1(state: ScalarState, cfg: DetectorConfig) -> dict:
+    """The version-1 state document, alpha and kappa arrays included."""
+    return {
+        "version": 1, "t": state.t, "prev_gamma": state.prev_gamma,
+        "map_probability": state.map_probability,
+        "runs": [int(r) for r in state.runs],
+        **{key: [float(v) for v in getattr(state, key)]
+           for key in ("log_joint", "mu", "kappa", "alpha", "beta")},
+        "config": {
+            "hazard_lambda": cfg.hazard_lambda, "prob_floor": cfg.prob_floor,
+            "max_run_length": cfg.max_run_length,
+            "predictive_scale": cfg.predictive_scale,
+            "prior": {"mu": cfg.prior.mu, "alpha": cfg.prior.alpha,
+                      "beta": cfg.prior.beta, "kappa": cfg.prior.kappa},
+        },
+    }
+
+
+def scalar_tune(train_series: MetricSeries, labels: Sequence[int],
+                space: GridSpace, scoring_cfg: ScoringConfig,
+                base: DetectorConfig):
+    """Grid search with one scalar detection per prior. Returns the chosen
+    prior, its report (F, then P, then smallest exponents) and every
+    prior's (changepoint steps, final state) in grid order."""
+    def key(p):
+        return (math.log(p.alpha, space.base), math.log(p.beta, space.base),
+                math.log(p.kappa, space.base))
+
+    best, runs = None, []
+    for prior in grid_configs(space):
+        cfg = DetectorConfig(hazard_lambda=base.hazard_lambda, prior=prior,
+                             prob_floor=base.prob_floor,
+                             max_run_length=base.max_run_length,
+                             predictive_scale=base.predictive_scale)
+        changepoints, _, final = scalar_detect_series(train_series, cfg)
+        runs.append(([cp.step for cp in changepoints], final))
+        report = lf_score(labels, [cp.ts for cp in changepoints],
+                          scoring_cfg, prior=prior)
+        rank = (report.lf_score, report.precision)
+        if (best is None or rank > best[0]
+                or (rank == best[0] and key(prior) < key(best[1]))):
+            best = (rank, prior, report)
+    _, prior, report = best
+    if report.lf_score == 0.0:
+        report = ScoreReport(
+            precision=report.precision, weighted_recall=report.weighted_recall,
+            lf_score=report.lf_score, matches=report.matches,
+            false_positives=report.false_positives, scoring=report.scoring,
+            prior=report.prior,
+            note="no configuration scored above zero; returned tie-break minimum")
+    return prior, report, runs

@@ -9,18 +9,25 @@ from depegwatch.bocd import (
     Changepoint,
     DetectorConfig,
     NGParams,
+    RunLengthState,
+    detect_batch,
     detect_series,
     hazard,
     init_state,
     log_sum_exp,
-    ng_update,
     state_from_dict,
     state_to_dict,
     step,
-    student_t_logpdf,
 )
 from depegwatch.core import MetricSeries, ValidationError
-from oracles import brute_force_run_length_posteriors, scipy_t_logpdf
+from oracles import (
+    brute_force_run_length_posteriors,
+    ng_update,
+    scalar_detect_series,
+    scalar_state_v1,
+    scipy_t_logpdf,
+    student_t_logpdf,
+)
 
 PP = "posterior_predictive"
 
@@ -276,12 +283,78 @@ class TestStatePersistence:
         assert trace1 + trace2 == whole_trace
         assert np.array_equal(end_state.log_joint, whole_state.log_joint)
 
+    def test_version_two_omits_alpha_and_kappa(self):
+        cfg = DetectorConfig()
+        state, _ = step(init_state(cfg), 0.5, cfg)
+        doc = state_to_dict(state, cfg)
+        assert doc["version"] == 2
+        assert "alpha" not in doc and "kappa" not in doc
+
+    def test_version_one_document_resumes_bit_identically(self):
+        rng = np.random.default_rng(6)
+        xs = np.concatenate([rng.normal(0, 1, 100), rng.normal(3, 1, 100)])
+        series = make_series(xs)
+        first = MetricSeries("m", "p", series.timestamps[:100].copy(),
+                             xs[:100].copy())
+        second = MetricSeries("m", "p", series.timestamps[100:].copy(),
+                              xs[100:].copy())
+        cfg = DetectorConfig(predictive_scale=PP)
+        _, _, mid = scalar_detect_series(first, cfg)
+        doc = json.loads(json.dumps(scalar_state_v1(mid, cfg)))
+        resumed, cfg2 = state_from_dict(doc)
+        assert cfg2 == cfg
+
+        uninterrupted = RunLengthState(mid.t, mid.runs, mid.log_joint, mid.mu,
+                                       mid.beta, mid.prev_gamma,
+                                       mid.map_probability)
+        cps, trace, end = detect_series(second, cfg, uninterrupted)
+        cps2, trace2, end2 = detect_series(second, cfg2, resumed)
+        assert cps2 == cps and trace2 == trace
+        for key in ("runs", "log_joint", "mu", "beta"):
+            assert np.array_equal(getattr(end2, key), getattr(end, key))
+        # the dropped alpha and kappa arrays carried nothing the tables lack
+        want_cps, _, want_end = scalar_detect_series(second, cfg, mid)
+        assert [c.step for c in cps2] == [c.step for c in want_cps]
+        assert np.array_equal(end2.runs, want_end.runs)
+        np.testing.assert_allclose(end2.log_joint, want_end.log_joint,
+                                   rtol=1e-12)
+
     def test_version_mismatch_rejected(self):
         cfg = DetectorConfig()
         doc = state_to_dict(init_state(cfg), cfg)
         doc["version"] = 99
         with pytest.raises(ValidationError):
             state_from_dict(doc)
+
+
+class TestDetectBatch:
+    def test_rows_match_single_detections(self):
+        rng = np.random.default_rng(12)
+        series = make_series(np.concatenate([rng.normal(0, 1, 60),
+                                             rng.normal(4, 1, 40)]))
+        cfg = DetectorConfig(predictive_scale=PP)
+        priors = [NGParams(0.0, 1.0, 1.0, 1.0), NGParams(0.0, 0.1, 10.0, 0.1),
+                  NGParams(0.0, 10.0, 0.1, 10.0)]
+        emits, runs, log_joint = detect_batch(series, priors, cfg)
+        assert emits.shape == (3, 100)
+        for prior, row, lj in zip(priors, emits, log_joint):
+            cps, _, state = detect_series(series, DetectorConfig(
+                prior=prior, predictive_scale=PP))
+            assert (np.flatnonzero(row) + 1).tolist() == [c.step for c in cps]
+            live = lj > -np.inf
+            assert np.array_equal(runs[live], state.runs)
+            np.testing.assert_allclose(lj[live], state.log_joint, rtol=1e-12)
+
+    def test_empty_series(self):
+        emits, runs, log_joint = detect_batch(
+            make_series([]), [NGParams(0.0, 1.0, 1.0, 1.0)], DetectorConfig())
+        assert emits.shape == (1, 0)
+        assert runs.tolist() == [0] and log_joint.tolist() == [[0.0]]
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="step 2"):
+            detect_batch(make_series([0.1, math.inf, 0.2]),
+                         [NGParams(0.0, 1.0, 1.0, 1.0)], DetectorConfig())
 
 
 class TestLogSumExp:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depegwatch.bocd import DetectorConfig, NGParams
+from depegwatch.bocd import DetectorConfig, NGParams, detect_batch
+from depegwatch import evaluation
 from depegwatch.core import MetricSeries, ValidationError
 from depegwatch.evaluation import (
     DepegLabel,
@@ -15,8 +16,10 @@ from depegwatch.evaluation import (
     lf_score,
     match_true_positives,
     price_threshold_crossings,
+    score_grid,
     tune,
 )
+from oracles import scalar_tune
 
 PP = "posterior_predictive"
 
@@ -236,3 +239,54 @@ class TestTune:
         assert len(report.matches) >= 1
         matched_preds = [x for _, x, _ in report.matches]
         assert any(abs(x - jump_ts) <= 2 * 3600 for x in matched_preds)
+
+
+class TestBatchedTune:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_oracle(self, data):
+        values = data.draw(st.lists(
+            st.floats(-6.0, 6.0, allow_nan=False), min_size=2, max_size=30))
+        shift = data.draw(st.floats(-8.0, 8.0))
+        cut = data.draw(st.integers(0, len(values)))
+        train = series([v + shift * (k >= cut) for k, v in enumerate(values)])
+        stamps = train.timestamps.tolist()
+        labels = data.draw(st.lists(st.sampled_from(stamps), min_size=1,
+                                    max_size=4, unique=True))
+        lo = data.draw(st.integers(-3, 2))
+        space = GridSpace((lo, lo + data.draw(st.integers(0, 1))))
+        scoring = ScoringConfig(margin_m=3600 * data.draw(st.integers(1, 6)))
+        pruning = data.draw(st.sampled_from([
+            {}, {"prob_floor": 0.0},
+            {"prob_floor": 0.0, "max_run_length": 4},
+            {"max_run_length": 7}]))
+        base = DetectorConfig(
+            hazard_lambda=data.draw(st.sampled_from([3.0, 20.0, 100.0])),
+            predictive_scale=data.draw(st.sampled_from(["paper", PP])),
+            **pruning)
+
+        prior, report = tune(train, labels, space, scoring, base)
+        want_prior, want_report, per_prior = scalar_tune(
+            train, labels, space, scoring, base)
+        assert prior == want_prior
+        assert report == want_report
+
+        emits, runs, log_joint = detect_batch(train, grid_configs(space), base)
+        for row, got_lj, (steps, final) in zip(emits, log_joint, per_prior):
+            assert (np.flatnonzero(row) + 1).tolist() == steps
+            live = got_lj > -np.inf
+            assert runs[live].tolist() == final.runs.tolist()
+            np.testing.assert_allclose(got_lj[live], final.log_joint,
+                                       rtol=1e-12)
+
+    def test_score_grid_in_grid_order_whatever_the_chunking(
+            self, monkeypatch):
+        rng = np.random.default_rng(3)
+        data = series(np.concatenate([rng.normal(0, 1, 30),
+                                      rng.normal(5, 1, 10)]))
+        space = GridSpace((-1, 0))
+        labels = [int(data.timestamps[31])]
+        reports = score_grid(data, labels, space)
+        assert [r.prior for r in reports] == grid_configs(space)
+        monkeypatch.setattr(evaluation, "_BATCH_CELLS", 3 * len(data))
+        assert score_grid(data, labels, space) == reports

@@ -1,15 +1,17 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from depegwatch import pipeline
+from depegwatch import bocd, evaluation, pipeline
 from depegwatch.cli import main
 from depegwatch.core import MetricSeries, TokenId, ValidationError
 from depegwatch.simulator import DepegEvent, ScenarioConfig, run_scenario
 from depegwatch.stableswap import PoolState
+from oracles import scalar_detect_series, scalar_state_v1
 
 USDX, USDY = TokenId("USDX"), TokenId("USDY")
 DAY = 86400
@@ -246,6 +248,32 @@ class TestDetectCommand:
         lines = open(os.path.join(out_dir, "changepoints.csv")).read().strip()
         assert lines == "ts,step,run_length,probability"
 
+    def test_resume_from_version_one_state(self, tmp_path):
+        rng = np.random.default_rng(21)
+        values = rng.normal(0, 1, 120)
+        stamps = np.arange(1, 121) * 3600
+        second = tmp_path / "second.csv"
+        pipeline.write_metric_series(str(second), MetricSeries(
+            "m", "p", stamps[60:].copy(), values[60:].copy()))
+        cfg = bocd.DetectorConfig(predictive_scale="posterior_predictive")
+        _, _, mid = scalar_detect_series(MetricSeries(
+            "m", "p", stamps[:60].copy(), values[:60].copy()), cfg)
+        v1 = scalar_state_v1(mid, cfg)
+        v2 = bocd.state_to_dict(bocd.RunLengthState(
+            mid.t, mid.runs, mid.log_joint, mid.mu, mid.beta, mid.prev_gamma,
+            mid.map_probability), cfg)
+        outputs = []
+        for name, doc in (("v1", v1), ("v2", v2)):
+            state_path = tmp_path / f"{name}.json"
+            state_path.write_text(json.dumps(doc))
+            out_dir = tmp_path / name
+            assert main(["detect", "--metric-file", str(second),
+                         "--state", str(state_path), "--resume",
+                         "--out-dir", str(out_dir)]) == 0
+            outputs.append([(out_dir / f).read_text()
+                            for f in ("changepoints.csv", "runlength.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_resume_missing_state_errors(self, tmp_path):
         series = MetricSeries("m", "p", np.arange(1, 4) * 3600,
                               np.zeros(3))
@@ -355,6 +383,17 @@ class TestLabelCommand:
         assert all(dev >= 0.05 for _, dev in rows)
 
 
+    def test_missing_token_prices_exit_two(self, scenario_dir, tmp_path):
+        data_dir, _ = scenario_dir
+        bundle = tmp_path / "bundle"
+        shutil.copytree(data_dir, bundle)
+        prices = (bundle / "prices.csv").read_text().splitlines(keepends=True)
+        (bundle / "prices.csv").write_text("".join(
+            line for line in prices if ",USDY," not in line))
+        assert main(["label", "--data-dir", str(bundle), "--pool-id",
+                     "scenario", "--out", str(tmp_path / "labels.csv")]) == 2
+
+
 class TestTuneCommand:
     def test_tune_then_detect_with_params(self, tmp_path):
         rng = np.random.default_rng(33)
@@ -378,6 +417,20 @@ class TestTuneCommand:
                 "standardize", "train_score"} <= set(doc)
         assert doc["train_score"]["F"] > 0
         assert doc["transform"] == "none"
+
+        with open(tmp_path / "grid.csv", newline="") as fh:
+            grid = list(csv.DictReader(fh))
+        assert list(grid[0]) == ["alpha", "beta", "kappa", "F", "P", "R",
+                                 "n_changepoints"]
+        priors = evaluation.grid_configs(evaluation.GridSpace((-1, 1)))
+        assert [(float(r["alpha"]), float(r["beta"]), float(r["kappa"]))
+                for r in grid] == [(p.alpha, p.beta, p.kappa) for p in priors]
+        chosen = next(r for r in grid if float(r["alpha"]) == doc["alpha"]
+                      and float(r["beta"]) == doc["beta"]
+                      and float(r["kappa"]) == doc["kappa"])
+        assert float(chosen["F"]) == doc["train_score"]["F"]
+        assert max(float(r["F"]) for r in grid) == doc["train_score"]["F"]
+        assert all(int(r["n_changepoints"]) >= 0 for r in grid)
 
         out_dir = str(tmp_path / "det")
         assert main(["detect", "--metric-file", str(metric_file),
