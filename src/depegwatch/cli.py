@@ -294,7 +294,7 @@ def tune(ctx: click.Context, metric_file: str, labels_path: str,
         fh.write("\n")
     pipeline.write_csv(
         os.path.join(os.path.dirname(out_path), "grid.csv"),
-        ["alpha", "beta", "kappa", "F", "P", "R", "n_changepoints"],
+        pipeline.GRID_HEADER,
         [(r.prior.alpha, r.prior.beta, r.prior.kappa, r.lf_score, r.precision,
           r.weighted_recall, len(r.matches) + len(r.false_positives))
          for r in reports])
@@ -329,7 +329,7 @@ def score(labels_path: str, cp_path: str, pool: str, metric_name: str,
            pipeline.fmt(doc["alpha"]) if "alpha" in doc else "",
            pipeline.fmt(doc["beta"]) if "beta" in doc else "",
            pipeline.fmt(doc["kappa"]) if "kappa" in doc else "")
-    pipeline.append_score_row(out_path, row, append=append)
+    pipeline.write_csv(out_path, pipeline.SCORES_HEADER, [row], append=append)
     click.echo(f"F={report.lf_score:.5f} P={report.precision:.5f} "
                f"R={report.weighted_recall:.5f} -> {out_path}")
 
@@ -381,9 +381,7 @@ def report(ctx: click.Context, score_paths: tuple[str, ...],
             else:
                 lead_rows.append((crossing, "", ""))
         lead_path = os.path.join(out_dir, "leadtime.csv")
-        pipeline.write_csv(lead_path,
-                           ["crossing_ts", "changepoint_ts", "lead_seconds"],
-                           lead_rows)
+        pipeline.write_csv(lead_path, pipeline.LEADTIME_HEADER, lead_rows)
         written.append(lead_path)
 
     if not written:

@@ -341,15 +341,13 @@ def order_count_buckets(trades: Iterable[TradeEvent], token: TokenId,
     """Daily-style (ts, buys, sells) counts for one token.
 
     A trade with token_out == token is a buy of that token; token_in ==
-    token is a sell.
+    token is a sell. Buckets run without gaps from the first to the last
+    trade touching the token, so a quiet bucket counts (0, 0).
     """
-    buys = aggregate(((t.ts, 1.0) for t in trades if t.token_out == token),
+    legs = [t for t in trades if token in (t.token_in, t.token_out)]
+    buys = aggregate(((t.ts, float(t.token_out == token)) for t in legs),
                      bucket, "sum")
-    sells = aggregate(((t.ts, 1.0) for t in trades if t.token_in == token),
+    sells = aggregate(((t.ts, float(t.token_in == token)) for t in legs),
                       bucket, "sum")
-    counts: dict[int, list[int]] = {}
-    for ts, v in buys.points:
-        counts.setdefault(ts, [0, 0])[0] = int(v)
-    for ts, v in sells.points:
-        counts.setdefault(ts, [0, 0])[1] = int(v)
-    return [(ts, bs[0], bs[1]) for ts, bs in sorted(counts.items())]
+    return [(int(ts), int(b), int(s)) for ts, b, s
+            in zip(buys.timestamps, buys.values, sells.values)]

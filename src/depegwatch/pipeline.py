@@ -6,26 +6,33 @@ CSV schemas (exact headers):
 * liquidity.csv:    ts,pool_id,provider,token,delta,lp_token_delta
 * reserves.csv:     ts,pool_id,token,balance,lp_supply
 * prices.csv:       ts,token,usd_price
+* metric files:     ts,value
+* labels.csv:       ts,deviation
 * changepoints.csv: ts,step,run_length,probability
 * runlength.csv:    ts,step,run_length,probability
-* labels.csv:       ts,deviation
-* scores.csv:       pool,metric,F,P,R,alpha,beta,kappa
-* metric files:     ts,value
+* grid.csv:         alpha,beta,kappa,F,P,R,n_changepoints
+* scores.csv:       pool,metric,F,P,R,alpha,beta,kappa (also pool_results.csv)
+* leadtime.csv:     crossing_ts,changepoint_ts,lead_seconds
 
 Decimal values are written as shortest round-trip strings, so re-reading a
-file reproduces the exact float bits. Config files are JSON; every command
-writes a manifest recording sha256 digests of its inputs and outputs.
+file reproduces the exact float bits. Every reader checks the header and
+parses each column by its type; a bad row fails with a ``file:line``
+message. Config files are JSON; every command writes a manifest recording
+sha256 digests of its inputs and outputs.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass
 from importlib import metadata
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,9 +68,8 @@ CHANGEPOINTS_HEADER = ["ts", "step", "run_length", "probability"]
 LABELS_HEADER = ["ts", "deviation"]
 SCORES_HEADER = ["pool", "metric", "F", "P", "R", "alpha", "beta", "kappa"]
 METRIC_HEADER = ["ts", "value"]
-
-METRIC_NAMES = ("shannonsEntropy", "giniCoefficient", "netSwapFlow",
-                "netLPFlow", "logReturns", "300.Markout", "sharkflow", "pin")
+GRID_HEADER = ["alpha", "beta", "kappa", "F", "P", "R", "n_changepoints"]
+LEADTIME_HEADER = ["crossing_ts", "changepoint_ts", "lead_seconds"]
 
 # Transform applied to a raw metric series before standardizing + detecting.
 DEFAULT_TRANSFORMS = {
@@ -115,85 +121,67 @@ def load_pool_registry(path: str) -> dict[str, PoolRegistryEntry]:
     return registry
 
 
-KNOWN_PROVIDERS = ("ccxt", "chainlink", "file")
+def _read(path: str, header: list[str],
+          types: Sequence[type]) -> Iterator[tuple[int, list]]:
+    """Yield (line number, typed row) for each data row of a CSV file.
 
-
-def load_price_sources(path: str) -> dict[str, tuple[str, str]]:
-    """Parse the token -> (provider, locator) map; live providers are
-    accepted in config but degrade to an offline error when fetched."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    mapping = doc.get("token_exchange_map")
-    if mapping is None:
-        raise ValidationError(f"{path} lacks a 'token_exchange_map' object")
-    out = {}
-    for symbol, pair in mapping.items():
-        if len(pair) != 2 or pair[0] not in KNOWN_PROVIDERS:
+    Line 1 must equal ``header``; each field is parsed by the matching entry
+    of ``types`` (``str``, ``int`` or ``float``).
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ValidationError(f"{path}: empty file")
+        if first != header:
             raise ValidationError(
-                f"unsupported price source for {symbol}: {pair!r}")
-        out[symbol] = (pair[0], pair[1])
-    return out
-
-
-def fetch_prices(sources: Mapping[str, tuple[str, str]], symbol: str) -> None:
-    provider, _ = sources.get(symbol, (None, None))
-    if provider in ("ccxt", "chainlink"):
-        raise ValidationError(
-            f"offline: provider {provider!r} for {symbol} is not fetchable; "
-            "supply prices.csv")
-    raise ValidationError(f"no price source for {symbol}; supply prices.csv")
-
-
-class _Reader:
-    """CSV reader that validates the header and reports 1-based line numbers
-    (the header is line 1)."""
-
-    def __init__(self, path: str, header: list[str]):
-        self.path = path
-        self.header = header
-
-    def rows(self) -> Iterable[tuple[int, dict[str, str]]]:
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                first = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{self.path}: empty file") from None
-            if first != self.header:
+                f"{path}:1: header {first!r} does not match "
+                f"schema {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
                 raise ValidationError(
-                    f"{self.path}:1: header {first!r} does not match "
-                    f"schema {self.header!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(self.header):
+                    f"{path}:{lineno}: expected {len(header)} fields, "
+                    f"got {len(row)}")
+            typed = []
+            for name, kind, raw in zip(header, types, row):
+                try:
+                    typed.append(kind(raw))
+                except ValueError:
+                    what = "an integer" if kind is int else "a number"
                     raise ValidationError(
-                        f"{self.path}:{lineno}: expected "
-                        f"{len(self.header)} fields, got {len(row)}")
-                yield lineno, dict(zip(self.header, row))
+                        f"{path}:{lineno}: field {name} must be {what}, "
+                        f"got {raw!r}") from None
+            yield lineno, typed
 
 
-def _parse_int(path: str, lineno: int, field: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{path}:{lineno}: field {field} must be an integer, "
-            f"got {raw!r}") from None
-
-
-def _parse_float(path: str, lineno: int, field: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{path}:{lineno}: field {field} must be a number, "
-            f"got {raw!r}") from None
-
-
-def _check_sorted(path: str, ts_list: Sequence[int], period: int) -> None:
-    for k in range(1, len(ts_list)):
-        if ts_list[k] < ts_list[k - 1] - period:
+def _read_events(path: str, header: list[str], types: Sequence[type],
+                 period: int) -> Iterator[tuple[int, list]]:
+    """``_read`` for a pool event file (ts, pool_id, ...): a row's ts may
+    fall at most one period behind the previous row of the same pool."""
+    last: dict[str, int] = {}
+    for lineno, row in _read(path, header, types):
+        ts, pool_id = row[0], row[1]
+        if ts < last.get(pool_id, ts) - period:
             raise ValidationError(
-                f"{path}: timestamps unsorted beyond one period at row {k + 2}")
+                f"{path}: timestamps unsorted beyond one period at row "
+                f"{lineno}")
+        last[pool_id] = ts
+        yield lineno, row
+
+
+def _price_samples(path: str, tokens: Mapping[str, TokenId],
+                   symbol: str | None = None) -> list[PriceSample]:
+    samples = []
+    for lineno, (ts, sym, px) in _read(path, PRICES_HEADER,
+                                       (int, str, float)):
+        if symbol is not None and sym != symbol:
+            continue
+        try:
+            samples.append(PriceSample(ts, tokens.get(sym) or TokenId(sym),
+                                       px))
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
+    return samples
 
 
 def ingest(
@@ -204,13 +192,15 @@ def ingest(
     """Load and validate the CSV bundle in ``data_dir``.
 
     Returns one EventStream per pool plus the shared price table. Rows that
-    violate type invariants fail with file:line messages; streams may arrive
-    up to one period out of order and are stably sorted afterwards.
+    violate type invariants fail with file:line messages; a pool's rows may
+    arrive up to one period out of order and are stably sorted afterwards.
     """
     token_lookup: dict[tuple[str, str], TokenId] = {}
+    symbol_tokens: dict[str, TokenId] = {}
     for entry in registry.values():
         for token in entry.tokens:
             token_lookup[(entry.pool_id, token.symbol)] = token
+            symbol_tokens.setdefault(token.symbol, token)
 
     def resolve(path: str, lineno: int, pool_id: str, symbol: str) -> TokenId:
         if pool_id not in registry:
@@ -224,106 +214,63 @@ def ingest(
     trades: dict[str, list[TradeEvent]] = {p: [] for p in registry}
     path = os.path.join(data_dir, "trades.csv")
     if os.path.exists(path):
-        ts_seen: list[int] = []
-        for lineno, row in _Reader(path, TRADES_HEADER).rows():
-            ts = _parse_int(path, lineno, "ts", row["ts"])
-            pool_id = row["pool_id"]
-            amount_in = _parse_float(path, lineno, "amount_in", row["amount_in"])
-            amount_out = _parse_float(path, lineno, "amount_out", row["amount_out"])
+        for lineno, (ts, pool_id, trader, sym_in, amount_in, sym_out,
+                     amount_out) in _read_events(
+                path, TRADES_HEADER, (int, str, str, str, float, str, float),
+                period):
+            token_in = resolve(path, lineno, pool_id, sym_in)
+            token_out = resolve(path, lineno, pool_id, sym_out)
             try:
-                trade = TradeEvent(
-                    ts=ts, trader=row["trader"],
-                    token_in=resolve(path, lineno, pool_id, row["token_in"]),
-                    amount_in=amount_in,
-                    token_out=resolve(path, lineno, pool_id, row["token_out"]),
-                    amount_out=amount_out)
+                trade = TradeEvent(ts=ts, trader=trader, token_in=token_in,
+                                   amount_in=amount_in, token_out=token_out,
+                                   amount_out=amount_out)
             except ValidationError as err:
                 raise ValidationError(f"{path}:{lineno}: {err}") from None
             trades[pool_id].append(trade)
-            ts_seen.append(ts)
-        _check_sorted(path, ts_seen, period)
 
     liquidity: dict[str, list[LiquidityEvent]] = {p: [] for p in registry}
     path = os.path.join(data_dir, "liquidity.csv")
     if os.path.exists(path):
-        pending: dict | None = None
-        ts_seen = []
-
-        def flush() -> None:
-            if pending is not None:
-                liquidity[pending["pool_id"]].append(LiquidityEvent(
-                    ts=pending["ts"], provider=pending["provider"],
-                    deltas=pending["deltas"],
-                    lp_token_delta=pending["lp_token_delta"]))
-
-        for lineno, row in _Reader(path, LIQUIDITY_HEADER).rows():
-            ts = _parse_int(path, lineno, "ts", row["ts"])
-            pool_id = row["pool_id"]
-            token = resolve(path, lineno, pool_id, row["token"])
-            delta = _parse_float(path, lineno, "delta", row["delta"])
-            lp_delta = _parse_float(path, lineno, "lp_token_delta",
-                                    row["lp_token_delta"])
-            key = (ts, pool_id, row["provider"], lp_delta)
-            if pending is not None and pending["key"] == key:
-                pending["deltas"][token] = pending["deltas"].get(token, 0.0) + delta
-            else:
-                flush()
-                pending = {"key": key, "ts": ts, "pool_id": pool_id,
-                           "provider": row["provider"],
-                           "deltas": {token: delta}, "lp_token_delta": lp_delta}
-            ts_seen.append(ts)
-        flush()
-        _check_sorted(path, ts_seen, period)
+        rows = _read_events(path, LIQUIDITY_HEADER,
+                            (int, str, str, str, float, float), period)
+        # One event spans consecutive rows, one row per token leg.
+        for (ts, pool_id, provider, lp_delta), legs in itertools.groupby(
+                rows, key=lambda item: itemgetter(0, 1, 2, 5)(item[1])):
+            deltas: dict[TokenId, float] = {}
+            for lineno, (_, _, _, symbol, delta, _) in legs:
+                token = resolve(path, lineno, pool_id, symbol)
+                if token in deltas:
+                    delta += deltas[token]
+                deltas[token] = delta
+            liquidity[pool_id].append(LiquidityEvent(
+                ts=ts, provider=provider, deltas=deltas,
+                lp_token_delta=lp_delta))
 
     snapshots: dict[str, list[ReserveSnapshot]] = {p: [] for p in registry}
     path = os.path.join(data_dir, "reserves.csv")
     if os.path.exists(path):
-        grouped: dict[tuple[str, int], dict] = {}
-        order: list[tuple[str, int]] = []
-        for lineno, row in _Reader(path, RESERVES_HEADER).rows():
-            ts = _parse_int(path, lineno, "ts", row["ts"])
-            pool_id = row["pool_id"]
-            token = resolve(path, lineno, pool_id, row["token"])
-            balance = _parse_float(path, lineno, "balance", row["balance"])
+        grouped: dict[tuple[str, int], tuple[float, dict]] = {}
+        for lineno, (ts, pool_id, symbol, balance, lp_supply) in _read_events(
+                path, RESERVES_HEADER, (int, str, str, float, float), period):
+            token = resolve(path, lineno, pool_id, symbol)
             if balance < 0:
                 raise ValidationError(f"{path}:{lineno}: negative balance")
-            lp_supply = _parse_float(path, lineno, "lp_supply", row["lp_supply"])
-            key = (pool_id, ts)
-            if key not in grouped:
-                grouped[key] = {"lp_supply": lp_supply, "balances": {}}
-                order.append(key)
-            grouped[key]["balances"][token] = balance
-        for pool_id, ts in order:
+            _, balances = grouped.setdefault((pool_id, ts), (lp_supply, {}))
+            balances[token] = balance
+        for (pool_id, ts), (lp_supply, balances) in grouped.items():
             entry = registry[pool_id]
-            doc = grouped[(pool_id, ts)]
-            missing = [t.symbol for t in entry.tokens
-                       if t not in doc["balances"]]
+            missing = [t.symbol for t in entry.tokens if t not in balances]
             if missing:
                 raise ValidationError(
                     f"{path}: snapshot at ts {ts} for {pool_id} missing "
                     f"balances for {missing}")
             snapshots[pool_id].append(ReserveSnapshot(
-                ts=ts,
-                balances=tuple(doc["balances"][t] for t in entry.tokens),
-                lp_supply=doc["lp_supply"]))
-        for pool_id in snapshots:
-            _check_sorted(path, [s.ts for s in snapshots[pool_id]], period)
+                ts=ts, balances=tuple(balances[t] for t in entry.tokens),
+                lp_supply=lp_supply))
 
-    samples: list[PriceSample] = []
     path = os.path.join(data_dir, "prices.csv")
-    if os.path.exists(path):
-        symbol_tokens: dict[str, TokenId] = {}
-        for entry in registry.values():
-            for token in entry.tokens:
-                symbol_tokens.setdefault(token.symbol, token)
-        for lineno, row in _Reader(path, PRICES_HEADER).rows():
-            ts = _parse_int(path, lineno, "ts", row["ts"])
-            px = _parse_float(path, lineno, "usd_price", row["usd_price"])
-            token = symbol_tokens.get(row["token"], TokenId(row["token"]))
-            try:
-                samples.append(PriceSample(ts, token, px))
-            except ValidationError as err:
-                raise ValidationError(f"{path}:{lineno}: {err}") from None
+    samples = (_price_samples(path, symbol_tokens)
+               if os.path.exists(path) else [])
 
     streams = {}
     for pool_id, entry in registry.items():
@@ -339,10 +286,15 @@ def ingest(
 # Writers
 
 
-def write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_csv(path: str, header: list[str], rows: Iterable[Sequence],
+              append: bool = False) -> None:
+    """Write ``rows`` under ``header``; with ``append``, add them to the end
+    of an existing file instead, whose header is kept."""
+    fresh = not (append and os.path.exists(path))
+    with open(path, "w" if fresh else "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        if fresh:
+            writer.writerow(header)
         for row in rows:
             writer.writerow([cell if isinstance(cell, str) else fmt(cell)
                              for cell in row])
@@ -355,55 +307,33 @@ def write_metric_series(path: str, series: MetricSeries) -> None:
 def read_metric_series(path: str, metric_name: str = "",
                        pool_id: str = "") -> MetricSeries:
     ts, values = [], []
-    for lineno, row in _Reader(path, METRIC_HEADER).rows():
-        ts.append(_parse_int(path, lineno, "ts", row["ts"]))
-        values.append(_parse_float(path, lineno, "value", row["value"]))
+    for _, (t, v) in _read(path, METRIC_HEADER, (int, float)):
+        ts.append(t)
+        values.append(v)
     return MetricSeries(metric_name, pool_id,
                         np.array(ts, dtype=np.int64), np.array(values))
 
 
 def read_labels(path: str) -> list[tuple[int, float]]:
-    out = []
-    for lineno, row in _Reader(path, LABELS_HEADER).rows():
-        out.append((_parse_int(path, lineno, "ts", row["ts"]),
-                    _parse_float(path, lineno, "deviation", row["deviation"])))
-    return out
+    return [(ts, deviation)
+            for _, (ts, deviation) in _read(path, LABELS_HEADER, (int, float))]
 
 
 def read_changepoints(path: str) -> list[int]:
-    return [_parse_int(path, lineno, "ts", row["ts"])
-            for lineno, row in _Reader(path, CHANGEPOINTS_HEADER).rows()]
+    return [row[0] for _, row in _read(path, CHANGEPOINTS_HEADER,
+                                       (int, int, int, float))]
 
 
-def read_score_rows(path: str) -> list[list[str]]:
-    return [[row[c] for c in SCORES_HEADER]
-            for _, row in _Reader(path, SCORES_HEADER).rows()]
-
-
-def append_score_row(path: str, row: Sequence, append: bool = False) -> None:
-    """Write (or append to) a scores.csv table with the pinned column set."""
-    fresh = not (append and os.path.exists(path))
-    with open(path, "w" if fresh else "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(SCORES_HEADER)
-        writer.writerow([cell if isinstance(cell, str) else fmt(cell)
-                         for cell in row])
+def read_score_rows(path: str) -> list[list]:
+    """Rows of a scores.csv; F, P and R are floats, the prior's alpha, beta
+    and kappa stay text because score leaves them empty without --params."""
+    return [row for _, row in _read(path, SCORES_HEADER,
+                                    (str, str, float, float, float,
+                                     str, str, str))]
 
 
 def read_price_samples(path: str, symbol: str | None = None) -> list[PriceSample]:
-    samples = []
-    for lineno, row in _Reader(path, PRICES_HEADER).rows():
-        if symbol is not None and row["token"] != symbol:
-            continue
-        try:
-            samples.append(PriceSample(
-                _parse_int(path, lineno, "ts", row["ts"]),
-                TokenId(row["token"]),
-                _parse_float(path, lineno, "usd_price", row["usd_price"])))
-        except ValidationError as err:
-            raise ValidationError(f"{path}:{lineno}: {err}") from None
-    return samples
+    return _price_samples(path, {}, symbol)
 
 
 def write_scenario(out_dir: str, output: ScenarioOutput) -> list[str]:
@@ -415,33 +345,29 @@ def write_scenario(out_dir: str, output: ScenarioOutput) -> list[str]:
 
     path = os.path.join(out_dir, "trades.csv")
     write_csv(path, TRADES_HEADER,
-              [(t.ts, stream.pool_id, t.trader, t.token_in.symbol, t.amount_in,
-                t.token_out.symbol, t.amount_out) for t in stream.trades])
+              ((t.ts, stream.pool_id, t.trader, t.token_in.symbol, t.amount_in,
+                t.token_out.symbol, t.amount_out) for t in stream.trades))
     written.append(path)
 
     path = os.path.join(out_dir, "liquidity.csv")
-    rows = []
-    for event in stream.liquidity:
-        for token in cfg.tokens:
-            if token in event.deltas:
-                rows.append((event.ts, stream.pool_id, event.provider,
-                             token.symbol, event.deltas[token],
-                             event.lp_token_delta))
-    write_csv(path, LIQUIDITY_HEADER, rows)
+    write_csv(path, LIQUIDITY_HEADER,
+              ((event.ts, stream.pool_id, event.provider, token.symbol,
+                event.deltas[token], event.lp_token_delta)
+               for event in stream.liquidity
+               for token in cfg.tokens if token in event.deltas))
     written.append(path)
 
     path = os.path.join(out_dir, "reserves.csv")
-    rows = []
-    for snap in stream.snapshots:
-        for token, balance in zip(cfg.tokens, snap.balances):
-            rows.append((snap.ts, stream.pool_id, token.symbol, balance,
-                         snap.lp_supply))
-    write_csv(path, RESERVES_HEADER, rows)
+    write_csv(path, RESERVES_HEADER,
+              ((snap.ts, stream.pool_id, token.symbol, balance,
+                snap.lp_supply)
+               for snap in stream.snapshots
+               for token, balance in zip(cfg.tokens, snap.balances)))
     written.append(path)
 
     path = os.path.join(out_dir, "prices.csv")
     write_csv(path, PRICES_HEADER,
-              [(p.ts, p.token.symbol, p.usd_price) for p in output.prices])
+              ((p.ts, p.token.symbol, p.usd_price) for p in output.prices))
     written.append(path)
 
     path = os.path.join(out_dir, "registry.json")
@@ -501,7 +427,7 @@ def load_scenario_config(path: str) -> ScenarioConfig:
             ramp=e["ramp"],
             recovery=e.get("recovery"),
         ) for e in doc.get("depeg_events", []))
-        return ScenarioConfig(
+        built = dict(
             seed=doc["seed"],
             duration=doc["duration"],
             step=doc["step"],
@@ -510,18 +436,13 @@ def load_scenario_config(path: str) -> ScenarioConfig:
             peg_prices={by_symbol[s]: p
                         for s, p in doc["peg_prices"].items()},
             depeg_events=events,
-            noise_vol=doc.get("noise_vol", 0.0),
-            arb_threshold=doc.get("arb_threshold", 0.002),
-            n_noise_traders=doc.get("n_noise_traders", 0),
-            n_informed=doc.get("n_informed", 0),
-            informed_lead=doc.get("informed_lead", 0),
-            informed_fraction=doc.get("informed_fraction", 0.005),
-            noise_fraction=doc.get("noise_fraction", 1e-4),
-            lp_event_prob=doc.get("lp_event_prob", 0.0),
-            lp_fraction=doc.get("lp_fraction", 0.005),
-            snapshot_period=doc.get("snapshot_period", 3600),
-            rng=doc.get("rng", "philox"),
         )
+        # The remaining fields are plain values; absent ones keep the
+        # ScenarioConfig defaults.
+        built.update((f.name, doc[f.name])
+                     for f in dataclasses.fields(ScenarioConfig)
+                     if f.name in doc and f.name not in built)
+        return ScenarioConfig(**built)
     except KeyError as err:
         raise ValidationError(f"{path}: missing scenario field {err}") from None
 
@@ -604,9 +525,6 @@ def transform_series(series: MetricSeries, transform: str) -> MetricSeries:
     if transform == "log_diff":
         return log_diff(series)
     if transform == "diff":
-        if len(series) < 2:
-            return MetricSeries(series.metric_name, series.pool_id,
-                                np.array([], dtype=np.int64), np.array([]))
         return MetricSeries(series.metric_name, series.pool_id,
                             series.timestamps[1:].copy(),
                             np.diff(series.values))

@@ -354,3 +354,11 @@ class TestOrderCountBuckets:
                   TradeEvent(300, "t", A, 1.0, B, 1.0)]
         buckets = order_count_buckets(trades, A, bucket=86400)
         assert buckets == [(86400, 1, 2)]
+
+    def test_quiet_days_get_zero_buckets(self):
+        day = 86400
+        trades = [TradeEvent(100, "t", B, 1.0, A, 1.0),              # buy, day 1
+                  TradeEvent(3 * day + 100, "t", A, 1.0, B, 1.0)]    # sell, day 4
+        buckets = order_count_buckets(trades, A, bucket=day)
+        assert buckets == [(day, 1, 0), (2 * day, 0, 0), (3 * day, 0, 0),
+                           (4 * day, 0, 1)]

@@ -29,6 +29,39 @@ def small_scenario(seed=11, duration=3 * DAY):
         lp_event_prob=0.02)
 
 
+def _floats(n, seed=0):
+    return [float(x) for x in np.random.default_rng(seed).standard_normal(n)]
+
+
+_TS = [k * 3600 for k in range(1, 41)]
+# kind -> (header, rows written, reader, row -> expected read-back item,
+#          a numeric field)
+FORMATS = {
+    "metric": (pipeline.METRIC_HEADER,
+               list(zip(_TS, [x * 1e-7 for x in _floats(40)])),
+               lambda p: pipeline.read_metric_series(p).points, tuple,
+               "value"),
+    "labels": (pipeline.LABELS_HEADER, list(zip(_TS, _floats(40, 1))),
+               pipeline.read_labels, tuple, "deviation"),
+    "changepoints": (pipeline.CHANGEPOINTS_HEADER,
+                     [(ts, k, k % 7, abs(x)) for k, (ts, x)
+                      in enumerate(zip(_TS, _floats(40, 2)))],
+                     pipeline.read_changepoints, lambda row: row[0],
+                     "probability"),
+    "scores": (pipeline.SCORES_HEADER,
+               [("p1", "netSwapFlow", 1 / 3, 0.1 + 0.2, 2 / 7, "1e-05",
+                 "100.0", "1.0"),
+                ("p2", "pin", 0.0, 5e-324, 1.0, "", "", "")],
+               pipeline.read_score_rows, list, "R"),
+    "prices": (pipeline.PRICES_HEADER,
+               [(ts, "USDX", 1.0 + x * 1e-3)
+                for ts, x in zip(_TS, _floats(40, 3))],
+               lambda p: [(s.ts, s.token.symbol, s.usd_price)
+                          for s in pipeline.read_price_samples(p)],
+               tuple, "usd_price"),
+}
+
+
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("bundle")
@@ -59,15 +92,26 @@ class TestRoundTrip:
         for a, b in zip(stream.snapshots, output.stream.snapshots):
             assert a.balances == b.balances and a.lp_supply == b.lp_supply
 
-    def test_metric_series_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        series = MetricSeries("m", "p", np.arange(1, 50) * 3600,
-                              rng.standard_normal(49) * 1e-7)
-        path = str(tmp_path / "m.csv")
-        pipeline.write_metric_series(path, series)
-        back = pipeline.read_metric_series(path)
-        assert np.array_equal(back.values, series.values)
-        assert np.array_equal(back.timestamps, series.timestamps)
+    @pytest.mark.parametrize("kind", list(FORMATS))
+    def test_metric_series_round_trip_exact(self, tmp_path, kind):
+        header, rows, read, expect, _ = FORMATS[kind]
+        path = str(tmp_path / f"{kind}.csv")
+        pipeline.write_csv(path, header, rows)
+        want = [expect(row) for row in rows]
+        # repr tells apart every float bit pattern and int from np.int64
+        assert repr(read(path)) == repr(want)
+
+    @pytest.mark.parametrize("kind", list(FORMATS))
+    def test_non_numeric_field_names_line_and_field(self, tmp_path, kind):
+        header, rows, read, _, field = FORMATS[kind]
+        bad = list(rows[1])
+        bad[header.index(field)] = "x1"
+        path = str(tmp_path / f"{kind}.csv")
+        pipeline.write_csv(path, header, [rows[0], bad])
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(err.value) == \
+            f"{path}:3: field {field} must be a number, got 'x1'"
 
 
 class TestValidation:
@@ -96,11 +140,18 @@ class TestValidation:
 
     def test_unknown_pool_id(self, tmp_path):
         registry = self._registry(tmp_path)
-        data_dir = self._write(
-            tmp_path, "trades.csv", pipeline.TRADES_HEADER,
-            [[100, "other", "t", "USDX", "1.0", "USDY", "1.0"]])
-        with pytest.raises(ValidationError, match="unknown pool_id"):
-            pipeline.ingest(data_dir, registry)
+        for row, problem in (
+                ([100, "other", "t", "USDX", "1.0", "USDY", "1.0"],
+                 "unknown pool_id 'other'"),
+                ([100, "pool", "t", "USDX", "1.0", "USDZ", "1.0"],
+                 "token 'USDZ' not in pool 'pool'")):
+            data_dir = self._write(tmp_path, "trades.csv",
+                                   pipeline.TRADES_HEADER, [row])
+            path = os.path.join(data_dir, "trades.csv")
+            with pytest.raises(ValidationError) as err:
+                pipeline.ingest(data_dir, registry)
+            # the path:line prefix appears exactly once
+            assert str(err.value) == f"{path}:2: {problem}"
 
     def test_header_mismatch(self, tmp_path):
         registry = self._registry(tmp_path)
@@ -118,6 +169,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unsorted"):
             pipeline.ingest(data_dir, registry)
 
+    def test_each_pool_is_ordered_on_its_own(self, tmp_path):
+        doc = {"pools": [{"pool_id": p, "tokens": [
+            {"symbol": "USDX"}, {"symbol": "USDY"}], "amp": 50.0}
+            for p in ("a", "b")]}
+        (tmp_path / "registry.json").write_text(json.dumps(doc))
+        registry = pipeline.load_pool_registry(
+            str(tmp_path / "registry.json"))
+        data_dir = self._write(
+            tmp_path, "trades.csv", pipeline.TRADES_HEADER,
+            [[90000, "a", "t", "USDX", "1.0", "USDY", "1.0"],
+             [100, "b", "t", "USDX", "1.0", "USDY", "1.0"],
+             [200, "b", "t", "USDX", "1.0", "USDY", "1.0"]])
+        streams, _ = pipeline.ingest(data_dir, registry)
+        assert [len(streams[p].trades) for p in "ab"] == [1, 2]
+
     def test_duplicate_timestamps_keep_stable_order(self, tmp_path):
         registry = self._registry(tmp_path)
         data_dir = self._write(
@@ -126,29 +192,6 @@ class TestValidation:
              [100, "pool", "b", "USDX", "2.0", "USDY", "2.0"]])
         streams, _ = pipeline.ingest(data_dir, registry)
         assert [t.trader for t in streams["pool"].trades] == ["a", "b"]
-
-
-class TestPriceSources:
-    def test_parses_reference_format(self, tmp_path):
-        doc = {"token_exchange_map": {
-            "USDC": ["ccxt", "binanceus"],
-            "FRAX": ["chainlink", "0xB9E1E3A9feFf48998E45Fa90847ed4D467E8BcfD"],
-            "SYN": ["file", "prices.csv"]}}
-        path = tmp_path / "sources.json"
-        path.write_text(json.dumps(doc))
-        sources = pipeline.load_price_sources(str(path))
-        assert sources["USDC"] == ("ccxt", "binanceus")
-
-    def test_live_provider_degrades_to_offline_error(self, tmp_path):
-        with pytest.raises(ValidationError, match="offline"):
-            pipeline.fetch_prices({"USDC": ("ccxt", "binanceus")}, "USDC")
-
-    def test_unknown_provider_rejected(self, tmp_path):
-        path = tmp_path / "sources.json"
-        path.write_text(json.dumps(
-            {"token_exchange_map": {"X": ["webscrape", "y"]}}))
-        with pytest.raises(ValidationError):
-            pipeline.load_price_sources(str(path))
 
 
 class TestMetricsCommand:
@@ -335,6 +378,22 @@ class TestScoreAndReport:
         assert float(rows[1][3]) == 1.0
         assert float(rows[1][4]) == pytest.approx(0.2)
         assert float(rows[1][2]) == pytest.approx(1 / 3)
+
+    def test_score_append_keeps_one_header(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        pipeline.write_csv(str(labels), pipeline.LABELS_HEADER,
+                           [(100 * 3600, 0.07)])
+        cps = tmp_path / "cp.csv"
+        pipeline.write_csv(str(cps), pipeline.CHANGEPOINTS_HEADER,
+                           [(98 * 3600, 98, 0, 0.9)])
+        out = tmp_path / "scores.csv"
+        for metric in ("netSwapFlow", "pin", "sharkflow"):
+            assert main(["score", "--labels", str(labels),
+                         "--changepoints", str(cps), "--pool", "pool",
+                         "--metric", metric, "--margin", str(10 * 3600),
+                         "--out", str(out), "--append"]) == 0
+        rows = pipeline.read_score_rows(str(out))
+        assert [r[1] for r in rows] == ["netSwapFlow", "pin", "sharkflow"]
 
     def test_report_merges_scores_and_leadtime(self, tmp_path):
         scores = tmp_path / "scores.csv"
