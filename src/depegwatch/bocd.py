@@ -57,14 +57,6 @@ class NGParams:
         if not (self.alpha > 0 and self.beta > 0 and self.kappa > 0):
             raise ValidationError("alpha, beta, kappa must be strictly positive")
 
-    @property
-    def nu(self) -> float:
-        return 2.0 * self.alpha
-
-    @property
-    def sigma_sq(self) -> float:
-        return self.beta / (self.alpha * self.kappa)
-
 
 @dataclass(frozen=True)
 class DetectorConfig:

@@ -139,11 +139,6 @@ def label(ctx: click.Context, data_dir: str, registry_path: str | None,
     click.echo(f"{len(labels)} depeg labels -> {out_path}")
 
 
-def _load_params_doc(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _prepare_series(series: MetricSeries, transform: str,
                     stats: tuple[float, float] | None) -> MetricSeries:
     series = pipeline.transform_series(series, transform)
@@ -161,7 +156,7 @@ def _prepare_series(series: MetricSeries, transform: str,
 @click.option("--alpha", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--kappa", type=float, default=None)
-@click.option("--hazard", "hazard_lambda", type=float, default=100.0)
+@click.option("--hazard", "hazard_lambda", type=float, default=None)
 @click.option("--predictive-scale",
               type=click.Choice(list(bocd.PREDICTIVE_SCALES)), default=None)
 @click.option("--state", "state_path", type=click.Path(), default=None,
@@ -172,12 +167,12 @@ def _prepare_series(series: MetricSeries, transform: str,
 @click.pass_context
 def detect(ctx: click.Context, metric_file: str, params_path: str | None,
            transform: str | None, alpha: float | None, beta: float | None,
-           kappa: float | None, hazard_lambda: float,
+           kappa: float | None, hazard_lambda: float | None,
            predictive_scale: str | None, state_path: str | None, resume: bool,
            save_state_path: str | None, out_override: str | None) -> None:
     """Detect changepoints on a metric file; resumable via saved state."""
     out_dir = _out_dir(ctx, out_override)
-    doc = _load_params_doc(params_path) if params_path else {}
+    doc = pipeline._load_json(params_path) if params_path else {}
 
     transform = transform or doc.get("transform", "none")
     stats = None
@@ -189,8 +184,7 @@ def detect(ctx: click.Context, metric_file: str, params_path: str | None,
         if not state_path or not os.path.exists(state_path):
             raise ValidationError(
                 f"--resume requires an existing state file, got {state_path!r}")
-        with open(state_path, encoding="utf-8") as fh:
-            state, cfg = bocd.state_from_dict(json.load(fh))
+        state, cfg = bocd.state_from_dict(pipeline._load_json(state_path))
     else:
         prior = bocd.NGParams(
             mu=doc.get("mu", 0.0),
@@ -198,7 +192,8 @@ def detect(ctx: click.Context, metric_file: str, params_path: str | None,
             beta=beta if beta is not None else doc.get("beta", 1.0),
             kappa=kappa if kappa is not None else doc.get("kappa", 1.0))
         cfg = bocd.DetectorConfig(
-            hazard_lambda=doc.get("hazard_lambda", hazard_lambda),
+            hazard_lambda=(hazard_lambda if hazard_lambda is not None
+                           else doc.get("hazard_lambda", 100.0)),
             prior=prior,
             predictive_scale=(predictive_scale
                               or doc.get("predictive_scale", "paper")))
@@ -323,7 +318,7 @@ def score(labels_path: str, cp_path: str, pool: str, metric_name: str,
     predictions = pipeline.read_changepoints(cp_path)
     scoring = evaluation.ScoringConfig(margin_m=margin, f_beta=f_beta)
     report = evaluation.lf_score(label_ts, predictions, scoring)
-    doc = _load_params_doc(params_path) if params_path else {}
+    doc = pipeline._load_json(params_path) if params_path else {}
     row = (pool, metric_name, report.lf_score, report.precision,
            report.weighted_recall,
            pipeline.fmt(doc["alpha"]) if "alpha" in doc else "",

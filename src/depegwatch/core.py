@@ -312,9 +312,6 @@ class PriceTable:
             px = np.array([p[1] for p in pairs])
             self._data[token] = (ts, px)
 
-    def tokens(self) -> list[TokenId]:
-        return sorted(self._data, key=lambda t: t.symbol)
-
     def lookup(self, token: TokenId, ts: Timestamp, tol: int) -> float | None:
         """Price of ``token`` nearest ``ts`` within ``tol`` seconds, else None."""
         entry = self._data.get(token)

@@ -49,6 +49,7 @@ from .core import (
     TradeEvent,
     ValidationError,
     aggregate,
+    bucket_end,
     log_diff,
 )
 from .simulator import DepegEvent, ScenarioConfig, ScenarioOutput
@@ -99,20 +100,34 @@ class PoolRegistryEntry:
             raise ValidationError(f"pool {self.pool_id} needs >= 2 tokens")
 
 
+def _load_json(path: str) -> dict:
+    """The JSON object in ``path``; malformed JSON fails as ``path: ...``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"{path}: {err}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return doc
+
+
 def load_pool_registry(path: str) -> dict[str, PoolRegistryEntry]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     registry: dict[str, PoolRegistryEntry] = {}
     for pool in doc.get("pools", []):
-        entry = PoolRegistryEntry(
-            pool_id=pool["pool_id"],
-            name=pool.get("name", pool["pool_id"]),
-            address=pool.get("address", "0" * 40),
-            tokens=tuple(TokenId(t["symbol"], t.get("address"))
-                         for t in pool["tokens"]),
-            amp=float(pool["amp"]),
-            fee=float(pool.get("fee", 0.0)),
-        )
+        try:
+            entry = PoolRegistryEntry(
+                pool_id=pool["pool_id"],
+                name=pool.get("name", pool["pool_id"]),
+                address=pool.get("address", "0" * 40),
+                tokens=tuple(TokenId(t["symbol"], t.get("address"))
+                             for t in pool["tokens"]),
+                amp=float(pool["amp"]),
+                fee=float(pool.get("fee", 0.0)),
+            )
+        except KeyError as err:
+            raise ValidationError(f"{path}: missing pool field {err}") from None
         if entry.pool_id in registry:
             raise ValidationError(f"duplicate pool_id {entry.pool_id}")
         registry[entry.pool_id] = entry
@@ -409,8 +424,7 @@ def write_scenario(out_dir: str, output: ScenarioOutput) -> list[str]:
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     try:
         tokens = tuple(TokenId(t["symbol"], t.get("address"))
                        for t in doc["tokens"])
@@ -502,12 +516,16 @@ def compute_pool_metrics(
             out.append(("sharkflow", token, metrics.shark_flow(
                 stream.trades, sharks, token, period, pool_id=pool_id)))
 
-        for token in stream.tokens:
-            buckets = metrics.order_count_buckets(stream.trades, token,
-                                                  cfg.pin_bucket)
-            if len(buckets) >= cfg.pin_window:
-                out.append(("pin", token, metrics.rolling_pin(
-                    buckets, cfg.pin_window, pool_id=pool_id)))
+        # No token's buckets can span more than the whole trade stream.
+        span = (bucket_end(stream.trades[-1].ts, cfg.pin_bucket)
+                - bucket_end(stream.trades[0].ts, cfg.pin_bucket))
+        if span // cfg.pin_bucket + 1 >= cfg.pin_window:
+            for token in stream.tokens:
+                buckets = metrics.order_count_buckets(stream.trades, token,
+                                                      cfg.pin_bucket)
+                if len(buckets) >= cfg.pin_window:
+                    out.append(("pin", token, metrics.rolling_pin(
+                        buckets, cfg.pin_window, pool_id=pool_id)))
     return out
 
 
@@ -585,8 +603,7 @@ def write_manifest(out_dir: str, command: str, inputs: Sequence[str],
 
 def verify_manifest(path: str) -> list[str]:
     """Re-hash the manifest's outputs; returns a list of mismatch messages."""
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _load_json(path)
     base = os.path.dirname(path)
     problems = []
     for name, digest in manifest.get("outputs", {}).items():

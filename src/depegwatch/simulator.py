@@ -160,13 +160,6 @@ def _informed_targets(cfg: ScenarioConfig, t: int) -> list[TokenId]:
     return out
 
 
-def _counter_index(cfg: ScenarioConfig, avoid: int) -> int:
-    for k in range(len(cfg.tokens)):
-        if k != avoid:
-            return k
-    raise ValidationError("pool needs a second token")
-
-
 def _arb_size(state: PoolState, i: int, j: int, target_ratio: float) -> float:
     """Largest sell of token i that keeps the pool's marginal price of i at
     or above the external ratio (bisection; 0 when even a dust trade
@@ -224,7 +217,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
                 if cfg.n_informed <= 0:
                     break
                 i = cfg.tokens.index(token)
-                j = _counter_index(cfg, i)
+                j = 1 if i == 0 else 0  # the first other token
                 per_agent = cfg.informed_fraction * state.balances[i] / cfg.n_informed
                 for a in range(cfg.n_informed):
                     try_swap(i, j, per_agent, f"informed_{a}")

@@ -4,15 +4,17 @@ The pool invariant in canonical form is
 
     A * n^n * sum(x) + D = A * D * n^n + D^(n+1) / (n^n * prod(x))
 
-solved for D by Newton's method with a bisection fallback. Swap outputs hold
-D fixed and solve for the counter-balance. Everything operates on float64;
-this is an analytics library, not a fixed-point contract port.
+solved for D by Newton's method with a bisection fallback, once per pool
+state (``PoolState.d``). Swap outputs hold that D fixed and solve for the
+counter-balance. Everything operates on float64; this is an analytics
+library, not a fixed-point contract port.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import NumericalError, TokenId, ValidationError
@@ -46,6 +48,11 @@ class PoolState:
     @property
     def n(self) -> int:
         return len(self.balances)
+
+    @cached_property
+    def d(self) -> float:
+        """Invariant D, solved on first use; ``replace`` starts a new cache."""
+        return compute_d(self).d
 
 
 @dataclass(frozen=True)
@@ -139,29 +146,31 @@ def _solve_balance(state: PoolState, j: int, others: Sequence[float], d: float) 
     raise NumericalError("swap output solver did not converge")
 
 
-def get_dy(state: PoolState, i: int, j: int, dx: float) -> float:
-    """Output amount of token j for selling dx of token i, after the fee."""
+def _check_pair(state: PoolState, i: int, j: int) -> None:
     if i == j:
         raise ValidationError("swap requires distinct token indices")
     if not 0 <= i < state.n or not 0 <= j < state.n:
         raise ValidationError("token index out of range")
+
+
+def _gross_dy(state: PoolState, i: int, j: int, dx: float) -> float:
+    """Fee-free output of token j for selling dx > 0 of token i."""
+    others = [b + dx if k == i else b
+              for k, b in enumerate(state.balances) if k != j]
+    y = _solve_balance(state, j, others, state.d)
+    if not math.isfinite(y) or y <= 0:
+        raise ValidationError("swap would drain the pool")
+    return max(state.balances[j] - y, 0.0)  # float noise at dx -> 0
+
+
+def get_dy(state: PoolState, i: int, j: int, dx: float) -> float:
+    """Output amount of token j for selling dx of token i, after the fee."""
+    _check_pair(state, i, j)
     if dx < 0:
         raise ValidationError("dx must be non-negative")
     if dx == 0:
         return 0.0
-    d = compute_d(state).d
-    others = [
-        state.balances[k] + (dx if k == i else 0.0)
-        for k in range(state.n)
-        if k != j
-    ]
-    y = _solve_balance(state, j, others, d)
-    if not math.isfinite(y) or y <= 0:
-        raise ValidationError("swap would drain the pool")
-    gross = state.balances[j] - y
-    if gross < 0:  # float noise at dx -> 0
-        gross = 0.0
-    return gross * (1.0 - state.fee)
+    return _gross_dy(state, i, j, dx) * (1.0 - state.fee)
 
 
 def apply_swap(state: PoolState, i: int, j: int, dx: float) -> tuple[PoolState, float]:
@@ -177,7 +186,7 @@ def virtual_price(state: PoolState) -> float:
     """D per LP token: the share value assuming every token sits at peg."""
     if state.lp_supply <= 0:
         raise ValidationError("virtual price requires lp_supply > 0")
-    return compute_d(state).d / state.lp_supply
+    return state.d / state.lp_supply
 
 
 def lp_share_price(state: PoolState, tokens: Sequence[TokenId],
@@ -197,8 +206,7 @@ def lp_share_price(state: PoolState, tokens: Sequence[TokenId],
 
 def leverage_chi(state: PoolState) -> float:
     """Leverage parameter: amp * prod(x) / (D/n)^n; equals amp at equilibrium."""
-    d = compute_d(state).d
-    return state.amp * math.prod(state.balances) / (d / state.n) ** state.n
+    return state.amp * math.prod(state.balances) / (state.d / state.n) ** state.n
 
 
 def marginal_price(state: PoolState, i: int, j: int) -> float:
@@ -207,10 +215,8 @@ def marginal_price(state: PoolState, i: int, j: int) -> float:
     Central finite difference of the fee-free swap output around
     dx = 1e-6 * x_i.
     """
-    if i == j:
-        raise ValidationError("marginal price requires distinct token indices")
-    free = replace(state, fee=0.0)
+    _check_pair(state, i, j)
     h = 1e-6 * state.balances[i]
     if h <= 0:
         raise ValidationError("marginal price requires a positive balance")
-    return (get_dy(free, i, j, 1.5 * h) - get_dy(free, i, j, 0.5 * h)) / h
+    return (_gross_dy(state, i, j, 1.5 * h) - _gross_dy(state, i, j, 0.5 * h)) / h

@@ -10,10 +10,16 @@ the batched kernel in ``depegwatch.bocd`` replaced. It keeps the Normal-Gamma
 ``alpha`` and ``kappa`` arrays per hypothesis, recomputes the Student-t
 normaliser on every step, and serves as the reference for the batched
 ``tune`` and for version-1 state documents.
+
+The swap functions at the end are the StableSwap output path from before D
+was cached on the pool state: every call re-solves D with ``compute_d``, and
+``marginal_price`` differences two ``get_dy`` calls on a fee-free copy of the
+state. They share the unchanged ``compute_d`` and ``_solve_balance`` with the
+library, so they must match it bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +36,7 @@ from depegwatch.bocd import (
     log_sum_exp,
 )
 from depegwatch.core import MetricSeries, ValidationError
+from depegwatch.stableswap import PoolState, _solve_balance, compute_d
 from depegwatch.evaluation import (
     GridSpace,
     ScoreReport,
@@ -293,3 +300,50 @@ def scalar_tune(train_series: MetricSeries, labels: Sequence[int],
             prior=report.prior,
             note="no configuration scored above zero; returned tie-break minimum")
     return prior, report, runs
+
+
+# ---------------------------------------------------------------------------
+# Swap outputs with D re-solved on every call (reference for PoolState.d)
+
+
+def get_dy(state: PoolState, i: int, j: int, dx: float) -> float:
+    if i == j:
+        raise ValidationError("swap requires distinct token indices")
+    if not 0 <= i < state.n or not 0 <= j < state.n:
+        raise ValidationError("token index out of range")
+    if dx < 0:
+        raise ValidationError("dx must be non-negative")
+    if dx == 0:
+        return 0.0
+    d = compute_d(state).d
+    others = [
+        state.balances[k] + (dx if k == i else 0.0)
+        for k in range(state.n)
+        if k != j
+    ]
+    y = _solve_balance(state, j, others, d)
+    if not math.isfinite(y) or y <= 0:
+        raise ValidationError("swap would drain the pool")
+    gross = state.balances[j] - y
+    if gross < 0:  # float noise at dx -> 0
+        gross = 0.0
+    return gross * (1.0 - state.fee)
+
+
+def apply_swap(state: PoolState, i: int, j: int,
+               dx: float) -> tuple[PoolState, float]:
+    dy = get_dy(state, i, j, dx)
+    balances = list(state.balances)
+    balances[i] += dx
+    balances[j] -= dy
+    return replace(state, balances=tuple(balances)), dy
+
+
+def marginal_price(state: PoolState, i: int, j: int) -> float:
+    if i == j:
+        raise ValidationError("marginal price requires distinct token indices")
+    free = replace(state, fee=0.0)
+    h = 1e-6 * state.balances[i]
+    if h <= 0:
+        raise ValidationError("marginal price requires a positive balance")
+    return (get_dy(free, i, j, 1.5 * h) - get_dy(free, i, j, 0.5 * h)) / h

@@ -8,7 +8,15 @@ import pytest
 
 from depegwatch import bocd, evaluation, pipeline
 from depegwatch.cli import main
-from depegwatch.core import MetricSeries, TokenId, ValidationError
+from depegwatch.core import (
+    EventStream,
+    MetricSeries,
+    PriceSample,
+    PriceTable,
+    TokenId,
+    TradeEvent,
+    ValidationError,
+)
 from depegwatch.simulator import DepegEvent, ScenarioConfig, run_scenario
 from depegwatch.stableswap import PoolState
 from oracles import scalar_detect_series, scalar_state_v1
@@ -232,6 +240,38 @@ class TestMetricsCommand:
         assert open(flow).read().strip() == "ts,value"
 
 
+def _stream_over_days(days):
+    """Two-token stream with one trade every six hours for ``days`` days,
+    plus hourly peg prices."""
+    trades = tuple(TradeEvent(ts, "t", USDX if k % 2 else USDY, 100.0,
+                              USDY if k % 2 else USDX, 99.0)
+                   for k, ts in enumerate(range(1, days * DAY, 6 * 3600)))
+    prices = PriceTable(PriceSample(ts, token, 1.0)
+                        for ts in range(0, days * DAY + 3600, 3600)
+                        for token in (USDX, USDY))
+    return EventStream("p", (USDX, USDY), trades=trades), prices
+
+
+class TestPoolMetrics:
+    @pytest.mark.parametrize("days, pin_tokens", [(6, 0), (7, 2)])
+    def test_pin_buckets_only_for_a_full_window(self, monkeypatch, days,
+                                                pin_tokens):
+        stream, prices = _stream_over_days(days)
+        calls = []
+        count_buckets = pipeline.metrics.order_count_buckets
+
+        def counting(*args):
+            calls.append(args[1])
+            return count_buckets(*args)
+
+        monkeypatch.setattr(pipeline.metrics, "order_count_buckets", counting)
+        entry = pipeline.PoolRegistryEntry("p", "p", "0" * 40, (USDX, USDY),
+                                           50.0, 0.0004)
+        out = pipeline.compute_pool_metrics(stream, prices, entry)
+        assert len(calls) == pin_tokens
+        assert [t for name, t, _ in out if name == "pin"] == calls
+
+
 class TestDetectCommand:
     def test_resume_equivalence_on_fixture(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -317,6 +357,23 @@ class TestDetectCommand:
                             for f in ("changepoints.csv", "runlength.csv")])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("flags, expected", [
+        ([], 40.0), (["--hazard", "5"], 5.0)], ids=["from-params", "flag"])
+    def test_hazard_flag_overrides_params(self, tmp_path, flags, expected):
+        path = tmp_path / "m.csv"
+        pipeline.write_metric_series(str(path), MetricSeries(
+            "m", "p", np.arange(1, 21) * 3600, np.array(_floats(20))))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"hazard_lambda": 40.0, "alpha": 3.0}))
+        out_dir = tmp_path / "out"
+        assert main(["detect", "--metric-file", str(path),
+                     "--params", str(params), "--alpha", "2", *flags,
+                     "--out-dir", str(out_dir)]) == 0
+        config = json.loads((out_dir / pipeline.MANIFEST_NAME).read_text())[
+            "config"]
+        assert config["hazard_lambda"] == expected
+        assert config["prior"]["alpha"] == 2.0
+
     def test_resume_missing_state_errors(self, tmp_path):
         series = MetricSeries("m", "p", np.arange(1, 4) * 3600,
                               np.zeros(3))
@@ -350,11 +407,46 @@ class TestExitCodes:
     def test_unknown_command_is_one(self):
         assert main(["frobnicate"]) == 1
 
-    def test_validation_error_is_two(self, tmp_path):
-        bad = tmp_path / "scenario.json"
-        bad.write_text(json.dumps({"seed": 1}))
-        assert main(["simulate", "--config", str(bad),
-                     "--out-dir", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", json.dumps({"seed": 1})),
+        ("simulate", '{"seed": 1, "duration"'),
+        ("simulate", "[1, 2]"),
+        ("metrics", json.dumps({"pools": [{"pool_id": "p", "tokens": [
+            {"symbol": "USDX"}, {"symbol": "USDY"}]}]})),
+        ("metrics", '{"pools": [{"pool_id": "p",'),
+        ("detect", '{"alpha": 2.0'),
+        ("resume", '{"version": 2,'),
+        ("score", '{"alpha"'),
+        ("verify", '{"outputs": {'),
+    ], ids=["scenario-missing-field", "scenario-truncated", "scenario-list",
+            "registry-missing-amp", "registry-truncated", "params-truncated",
+            "state-truncated", "score-params-truncated",
+            "manifest-truncated"])
+    def test_validation_error_is_two(self, tmp_path, command, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        metric, labels, cps = (str(tmp_path / n) for n in
+                               ("m.csv", "labels.csv", "cp.csv"))
+        pipeline.write_csv(metric, pipeline.METRIC_HEADER, [(3600, 1.0)])
+        pipeline.write_csv(labels, pipeline.LABELS_HEADER, [])
+        pipeline.write_csv(cps, pipeline.CHANGEPOINTS_HEADER, [])
+        out = str(tmp_path / "o")
+        argv = {
+            "simulate": ["simulate", "--config", str(bad), "--out-dir", out],
+            "metrics": ["metrics", "--data-dir", str(tmp_path),
+                        "--registry", str(bad), "--out-dir", out],
+            "detect": ["detect", "--metric-file", metric,
+                       "--params", str(bad), "--out-dir", out],
+            "resume": ["detect", "--metric-file", metric,
+                       "--state", str(bad), "--resume", "--out-dir", out],
+            "score": ["score", "--labels", labels,
+                      "--changepoints", cps, "--pool", "p",
+                      "--metric", "m", "--params", str(bad),
+                      "--out", str(tmp_path / "scores.csv")],
+            "verify": ["verify", "--manifest", str(bad)],
+        }[command]
+        assert main(argv) == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
 
 
 class TestScoreAndReport:

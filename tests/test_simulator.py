@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from depegwatch import simulator
 from depegwatch.core import PriceTable, TokenId, ValidationError
 from depegwatch.evaluation import label_depegs
 from depegwatch.metrics import net_swap_flow
@@ -20,7 +22,7 @@ from depegwatch.stableswap import (
 )
 from depegwatch import pipeline
 
-USDX, USDY = TokenId("USDX"), TokenId("USDY")
+USDX, USDY, USDZ = TokenId("USDX"), TokenId("USDY"), TokenId("USDZ")
 DAY = 86400
 
 
@@ -116,6 +118,26 @@ class TestRunScenario:
                 lp += event.lp_token_delta
         assert tuple(balances) == out.final_pool.balances
         assert lp == out.final_pool.lp_supply
+
+    def test_swaps_equal_oracle_that_resolves_d(self, monkeypatch):
+        cfg = scenario(seed=5, duration=2 * DAY, start_day=1, target=0.9,
+                       noise_vol=1e-3, n_noise_traders=3,
+                       tokens=(USDX, USDY, USDZ),
+                       pool=PoolState((4e6, 4e6, 4e6), amp=50.0, fee=0.0004,
+                                      lp_supply=1.2e7),
+                       peg_prices={USDX: 1.0, USDY: 1.0, USDZ: 1.0})
+        out = run_scenario(cfg)
+        monkeypatch.setattr(simulator, "apply_swap", oracles.apply_swap)
+        monkeypatch.setattr(simulator, "marginal_price",
+                            oracles.marginal_price)
+        ref = run_scenario(cfg)
+        assert sum(t.trader == "arb" for t in out.stream.trades) > 10
+        assert out.stream.trades == ref.stream.trades
+        assert out.prices == ref.prices
+        assert out.stream.snapshots == ref.stream.snapshots
+        assert out.stream.liquidity == ref.stream.liquidity
+        assert out.final_pool == ref.final_pool
+        assert out.truncated == ref.truncated
 
     def test_snapshots_satisfy_invariant_residual(self):
         out = run_scenario(scenario(duration=2 * DAY))

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depegwatch.core import TokenId, ValidationError
+import oracles
+from depegwatch import stableswap
+from depegwatch.core import NumericalError, TokenId, ValidationError
 from depegwatch.stableswap import (
     InvariantSolution,
     PoolState,
@@ -219,3 +223,69 @@ class TestMarginalPrice:
         state = PoolState((4e6, 1e6), amp=25.0)
         product = marginal_price(state, 0, 1) * marginal_price(state, 1, 0)
         assert product == pytest.approx(1.0, abs=1e-5)
+
+
+def _outcome(fn, *args):
+    """Return value of ``fn(*args)``, or the library error it raised."""
+    try:
+        return fn(*args)
+    except (ValidationError, NumericalError) as err:
+        return type(err), str(err)
+
+
+class TestSwapOracle:
+    """Swaps at the state's cached D equal the oracle that re-solves D on
+    every call, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        balances=st.lists(st.floats(1e3, 1e9), min_size=2, max_size=3),
+        amp=st.floats(1.0, 5000.0),
+        fee=st.floats(0.0, 0.01),
+        trades=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                  st.floats(0.0, 2.0)),
+                        min_size=1, max_size=6),
+    )
+    def test_library_equals_oracle(self, balances, amp, fee, trades):
+        state = PoolState(tuple(balances), amp=amp, fee=fee,
+                          lp_supply=sum(balances))
+        n = state.n
+        for a, b, frac in trades:
+            i = a % n
+            j = (i + 1 + b % (n - 1)) % n
+            dx = frac * state.balances[i]
+            assert (_outcome(marginal_price, state, i, j)
+                    == _outcome(oracles.marginal_price, state, i, j))
+            assert (_outcome(get_dy, state, i, j, dx)
+                    == _outcome(oracles.get_dy, state, i, j, dx))
+            assert virtual_price(state) == compute_d(state).d / state.lp_supply
+            swapped = _outcome(apply_swap, state, i, j, dx)
+            assert swapped == _outcome(oracles.apply_swap, state, i, j, dx)
+            if not isinstance(swapped[0], PoolState):
+                break
+            state = swapped[0]
+
+    def test_one_state_solves_d_once(self, monkeypatch):
+        solved = []
+
+        def counting(state):
+            solved.append(state)
+            return compute_d(state)
+
+        monkeypatch.setattr(stableswap, "compute_d", counting)
+        state = PoolState((3e6, 1e6, 2e6), amp=100.0, fee=0.0004,
+                          lp_supply=6e6)
+        marginal_price(state, 0, 1)
+        apply_swap(state, 0, 1, 1e4)
+        virtual_price(state)
+        leverage_chi(state)
+        assert solved == [state]
+
+    def test_cached_d_leaves_value_semantics(self):
+        state = PoolState((3e6, 1e6), amp=100.0, fee=0.0004, lp_supply=4e6)
+        fresh = PoolState((3e6, 1e6), amp=100.0, fee=0.0004, lp_supply=4e6)
+        assert state.d == compute_d(fresh).d
+        assert state == fresh and hash(state) == hash(fresh)
+        assert repr(state) == repr(fresh)
+        moved = replace(state, balances=(2e6, 2e6))
+        assert moved.d == compute_d(PoolState((2e6, 2e6), amp=100.0)).d
