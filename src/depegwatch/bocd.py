@@ -392,23 +392,28 @@ def state_from_dict(doc: dict) -> tuple[RunLengthState, DetectorConfig]:
         raise ValidationError(
             f"unsupported state version {doc.get('version')!r}; "
             f"expected 1 or {STATE_VERSION}")
-    cfg_doc = doc["config"]
-    prior = cfg_doc["prior"]
-    cfg = DetectorConfig(
-        hazard_lambda=cfg_doc["hazard_lambda"],
-        prior=NGParams(prior["mu"], prior["alpha"], prior["beta"],
-                       prior["kappa"]),
-        prob_floor=cfg_doc["prob_floor"],
-        max_run_length=cfg_doc["max_run_length"],
-        predictive_scale=cfg_doc["predictive_scale"],
-    )
-    state = RunLengthState(
-        t=int(doc["t"]),
-        runs=np.array(doc["runs"], dtype=np.int64),
-        log_joint=np.array(doc["log_joint"], dtype=float),
-        mu=np.array(doc["mu"], dtype=float),
-        beta=np.array(doc["beta"], dtype=float),
-        prev_gamma=int(doc["prev_gamma"]),
-        map_probability=float(doc.get("map_probability", 1.0)),
-    )
+    try:
+        cfg_doc = doc["config"]
+        prior = cfg_doc["prior"]
+        cfg = DetectorConfig(
+            hazard_lambda=cfg_doc["hazard_lambda"],
+            prior=NGParams(prior["mu"], prior["alpha"], prior["beta"],
+                           prior["kappa"]),
+            prob_floor=cfg_doc["prob_floor"],
+            max_run_length=cfg_doc["max_run_length"],
+            predictive_scale=cfg_doc["predictive_scale"],
+        )
+        state = RunLengthState(
+            t=int(doc["t"]),
+            runs=np.array(doc["runs"], dtype=np.int64),
+            log_joint=np.array(doc["log_joint"], dtype=float),
+            mu=np.array(doc["mu"], dtype=float),
+            beta=np.array(doc["beta"], dtype=float),
+            prev_gamma=int(doc["prev_gamma"]),
+            map_probability=float(doc.get("map_probability", 1.0)),
+        )
+    except KeyError as err:
+        raise ValidationError(f"missing state field {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValidationError(str(err)) from None
     return state, cfg

@@ -184,7 +184,11 @@ def detect(ctx: click.Context, metric_file: str, params_path: str | None,
         if not state_path or not os.path.exists(state_path):
             raise ValidationError(
                 f"--resume requires an existing state file, got {state_path!r}")
-        state, cfg = bocd.state_from_dict(pipeline._load_json(state_path))
+        state_doc = pipeline._load_json(state_path)
+        try:
+            state, cfg = bocd.state_from_dict(state_doc)
+        except ValidationError as err:
+            raise ValidationError(f"{state_path}: {err}") from None
     else:
         prior = bocd.NGParams(
             mu=doc.get("mu", 0.0),

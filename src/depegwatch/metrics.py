@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln, logsumexp
 
 from .core import (
@@ -265,7 +264,7 @@ def _expit(z: float) -> float:
     return math.exp(max(z, -700.0)) / (1.0 + math.exp(max(z, -700.0)))
 
 
-def _pin_from_vector(u: np.ndarray) -> PinParams:
+def _pin_from_vector(u: Sequence[float]) -> PinParams:
     return PinParams(alpha=_expit(u[0]), theta=_expit(u[1]),
                      eps_i=math.exp(min(u[2], 700.0)),
                      eps_b=math.exp(min(u[3], 700.0)),
@@ -277,63 +276,277 @@ def _logit(p: float) -> float:
     return math.log(p / (1 - p))
 
 
-def estimate_pin(buckets: Sequence[tuple[int, int]],
-                 tol: float = 1e-8) -> tuple[PinParams, float]:
-    """Maximum-likelihood mixture fit and the resulting PIN value.
-
-    Derivative-free simplex search in an unconstrained space (logit for the
-    probabilities, log for the rates) from 8 deterministic starts spanning
-    alpha, theta in {0.1, 0.5} with rate starts from the sample means.
-    """
-    if len(buckets) < 2:
-        raise ValidationError("PIN estimation needs at least 2 buckets")
+def _pin_starts(buckets: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    # alpha, theta in {0.1, 0.5} with rate starts from the sample means
     mean_b = max(float(np.mean([b for b, _ in buckets])), 0.1)
     mean_s = max(float(np.mean([s for _, s in buckets])), 0.1)
     rate_starts = [
         (0.5 * (mean_b + mean_s), mean_b, mean_s),
         (mean_b + mean_s, 0.5 * mean_b, 0.5 * mean_s),
     ]
+    return [np.array([_logit(alpha0), _logit(theta0), math.log(eps_i0),
+                      math.log(eps_b0), math.log(eps_s0)])
+            for alpha0 in (0.1, 0.5) for theta0 in (0.1, 0.5)
+            for eps_i0, eps_b0, eps_s0 in rate_starts]
 
-    def objective(u: np.ndarray) -> float:
-        return -pin_likelihood(buckets, _pin_from_vector(u))
 
-    best: tuple[float, PinParams] | None = None
-    start_lls = []
-    for alpha0 in (0.1, 0.5):
-        for theta0 in (0.1, 0.5):
-            for eps_i0, eps_b0, eps_s0 in rate_starts:
-                u0 = np.array([_logit(alpha0), _logit(theta0),
-                               math.log(eps_i0), math.log(eps_b0),
-                               math.log(eps_s0)])
-                start_lls.append(-objective(u0))
-                result = minimize(objective, u0, method="Nelder-Mead",
-                                  options={"fatol": tol, "xatol": 1e-6,
-                                           "maxiter": 4000, "maxfev": 6000})
-                ll = -float(result.fun)
-                if math.isfinite(ll) and (best is None or ll > best[0]):
-                    best = (ll, _pin_from_vector(result.x))
-    if best is None or best[0] < max(start_lls):
-        raise NumericalError(f"PIN optimization failed; best so far {best}")
-    params = best[1]
+class _MaxFevReached(Exception):
+    """scipy's ``_MaxFuncCallError``: an evaluation past ``maxfev``."""
+
+
+def _spend(fcalls: int, maxfev: int) -> None:
+    if fcalls >= maxfev:
+        raise _MaxFevReached
+
+
+def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
+                 maxfev: int):
+    """scipy 1.17.1's ``_minimize_neldermead`` as a generator.
+
+    Only the path ``estimate_pin`` used is kept: no bounds, no callback,
+    ``adaptive=False``. The generator yields (k, n) blocks of points, is
+    sent their k objective values and returns ``(x, fun)``. Points that
+    scipy evaluates one after another without looking at the values (the
+    initial simplex, a shrink) come as one block. Running out of ``maxfev``
+    aborts the iteration where scipy's ``_MaxFuncCallError`` would, and
+    every array expression is scipy's, so the iterates are bit-identical.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + 0.05) * y[k]
+        else:
+            y[k] = 0.00025
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    fcalls = min(N + 1, maxfev)
+    fsim[:fcalls] = yield sim[:fcalls]
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while fcalls < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = (yield xr[None])[0]
+            fcalls += 1
+            doshrink = 0
+
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                _spend(fcalls, maxfev)
+                fxe = (yield xe[None])[0]
+                fcalls += 1
+
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            else:  # fsim[0] <= fxr
+                if fxr < fsim[-2]:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+                else:  # fxr >= fsim[-2]
+                    # Perform contraction
+                    if fxr < fsim[-1]:
+                        xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                        _spend(fcalls, maxfev)
+                        fxc = (yield xc[None])[0]
+                        fcalls += 1
+
+                        if fxc <= fxr:
+                            sim[-1] = xc
+                            fsim[-1] = fxc
+                        else:
+                            doshrink = 1
+                    else:
+                        # Perform an inside contraction
+                        xcc = (1 - psi) * xbar + psi * sim[-1]
+                        _spend(fcalls, maxfev)
+                        fxcc = (yield xcc[None])[0]
+                        fcalls += 1
+
+                        if fxcc < fsim[-1]:
+                            sim[-1] = xcc
+                            fsim[-1] = fxcc
+                        else:
+                            doshrink = 1
+
+                    if doshrink:
+                        # scipy moves vertex j before calling on it, so the
+                        # call past maxfev raises with its vertex moved
+                        n = min(N, maxfev - fcalls)
+                        for j in range(1, min(N, n + 1) + 1):
+                            sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        if n:
+                            fsim[1:n + 1] = yield sim[1:n + 1]
+                            fcalls += n
+                        if n < N:
+                            raise _MaxFevReached
+            iterations += 1
+        except _MaxFevReached:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], np.min(fsim)
+
+
+def _pin_objective(windows: Sequence[Sequence[tuple[int, int]]]):
+    """``-pin_likelihood`` of many points at once, each on its own window.
+
+    The returned ``f(points, owner)`` scores row i of ``points`` (a vector
+    in ``_pin_from_vector``'s space) on ``windows[owner[i]]`` as one
+    (point x branch x bucket) block. Every window has the same length. The
+    counts and their ``gammaln(k + 1)`` are built once. Each branch adds its
+    terms in ``pin_likelihood``'s order, and the log-sum-exp is scipy's:
+    the max over branches, the ties ``m`` at the max, the sum ``s`` of
+    ``exp`` of the rest, then ``log1p(s / m) + log(m) + max``. So every
+    value is bit-identical to ``-pin_likelihood``, which a point with a
+    zero rate or invalid parameters is handed to.
+    """
+    b = np.array([[bucket[0] for bucket in w] for w in windows], dtype=float)
+    s = np.array([[bucket[1] for bucket in w] for w in windows], dtype=float)
+    if np.any(b < 0) or np.any(s < 0):
+        raise ValidationError("order counts must be non-negative")
+    log_b_fact, log_s_fact = gammaln(b + 1), gammaln(s + 1)
+
+    def objective(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        f = np.empty(len(points))
+        rows, consts = [], []
+        for i, u in enumerate(points.tolist()):
+            p = _pin_from_vector(u)
+            rates = (p.eps_i + p.eps_b, p.eps_s, p.eps_i + p.eps_s, p.eps_b)
+            if not p.is_valid() or 0.0 in rates:
+                f[i] = -pin_likelihood(windows[owner[i]], p)
+                continue
+            log_alpha = math.log(p.alpha) if p.alpha > 0 else -math.inf
+            log_not_alpha = math.log1p(-p.alpha) if p.alpha < 1 else -math.inf
+            log_theta = math.log(p.theta) if p.theta > 0 else -math.inf
+            log_not_theta = math.log1p(-p.theta) if p.theta < 1 else -math.inf
+            rows.append(i)
+            consts.append((log_alpha + log_not_theta, log_alpha + log_theta,
+                           log_not_alpha, *rates, *map(math.log, rates)))
+        if rows:
+            w = owner[rows]
+            bw, sw, lbf, lsf = b[w], s[w], log_b_fact[w], log_s_fact[w]
+            (c_good, c_bad, c_none, r_informed_buy, r_sell, r_informed_sell,
+             r_buy, lr_informed_buy, lr_sell, lr_informed_sell, lr_buy) = (
+                np.array(consts).T[:, :, None])
+            # Poisson log pmfs k * log(rate) - rate - log(k!)
+            informed_buy = bw * lr_informed_buy - r_informed_buy - lbf
+            sell = sw * lr_sell - r_sell - lsf
+            informed_sell = sw * lr_informed_sell - r_informed_sell - lsf
+            buy = bw * lr_buy - r_buy - lbf
+            branches = (c_good + informed_buy + sell,
+                        c_bad + informed_sell + buy,
+                        c_none + buy + sell)
+            top = np.maximum(np.maximum(branches[0], branches[1]), branches[2])
+            ties = sum((x == top).astype(float) for x in branches)
+            rest = sum(np.where(x == top, 0.0, np.exp(x - top))
+                       for x in branches)
+            total = (np.log1p(rest / ties) + np.log(ties) + top).sum(axis=1)
+            f[rows] = np.where(np.isfinite(total), -total, np.inf)
+        return f
+
+    return objective
+
+
+def _fit_pin(windows: Sequence[Sequence[tuple[int, int]]],
+             tol: float) -> list[PinParams]:
+    """Maximum-likelihood fit of each window, all searches in lockstep.
+
+    Every start of every window is one ``_nelder_mead`` search; each round
+    gathers the points that all live searches ask for into one objective
+    call. A window's fit is the best finite search result, and it must be
+    at least as likely as the window's best start.
+    """
+    objective = _pin_objective(windows)
+    starts = [u0 for w in windows for u0 in _pin_starts(w)]
+    owner = np.arange(len(starts)) // (len(starts) // len(windows))
+    start_lls = -objective(np.array(starts), owner)
+    searches = [_nelder_mead(u0, 1e-6, tol, 4000, 6000) for u0 in starts]
+    blocks = [next(search) for search in searches]
+    results: list = [None] * len(searches)
+    live = list(range(len(searches)))
+    while live:
+        sizes = [len(blocks[i]) for i in live]
+        f = objective(np.concatenate([blocks[i] for i in live]),
+                      np.repeat(owner[live], sizes))
+        still, pos = [], 0
+        for i, k in zip(live, sizes):
+            try:
+                blocks[i] = searches[i].send(f[pos:pos + k])
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+            pos += k
+        live = still
+
+    fits = []
+    for w in range(len(windows)):
+        best: tuple[float, PinParams] | None = None
+        for i in np.flatnonzero(owner == w):
+            x, fun = results[i]
+            ll = -float(fun)
+            if math.isfinite(ll) and (best is None or ll > best[0]):
+                best = (ll, _pin_from_vector(x))
+        if best is None or best[0] < max(start_lls[owner == w]):
+            raise NumericalError(f"PIN optimization failed; best so far {best}")
+        fits.append(best[1])
+    return fits
+
+
+def estimate_pin(buckets: Sequence[tuple[int, int]],
+                 tol: float = 1e-8) -> tuple[PinParams, float]:
+    """Maximum-likelihood mixture fit and the resulting PIN value.
+
+    Derivative-free simplex search in an unconstrained space (logit for the
+    probabilities, log for the rates) from 8 deterministic starts spanning
+    alpha, theta in {0.1, 0.5} with rate starts from the sample means. The
+    search is scipy's Nelder-Mead, ported so the 8 starts advance in
+    lockstep with one batched likelihood call per round; the fit is
+    bit-identical to running ``scipy.optimize.minimize`` on each start.
+    """
+    if len(buckets) < 2:
+        raise ValidationError("PIN estimation needs at least 2 buckets")
+    params = _fit_pin([buckets], tol)[0]
     return params, params.pin
 
 
 def rolling_pin(bucket_series: Sequence[tuple[Timestamp, int, int]],
                 window: int, *, pool_id: str = "") -> MetricSeries:
-    """PIN re-estimated over each trailing window of order-count buckets."""
+    """PIN re-estimated over each trailing window of order-count buckets.
+
+    Each window is fitted as by ``estimate_pin``, but every start of every
+    window advances in lockstep, so a round makes one likelihood call.
+    """
     if window < 2:
         raise ValidationError("rolling PIN window must cover >= 2 buckets")
-    if len(bucket_series) < window:
-        return MetricSeries("pin", pool_id, np.array([], dtype=np.int64),
-                            np.array([]))
-    ts_out, values = [], []
-    for k in range(window - 1, len(bucket_series)):
-        chunk = [(b, s) for _, b, s in bucket_series[k - window + 1:k + 1]]
-        _, pin = estimate_pin(chunk)
-        ts_out.append(bucket_series[k][0])
-        values.append(pin)
-    return MetricSeries("pin", pool_id, np.array(ts_out, dtype=np.int64),
-                        np.array(values))
+    ends = range(window - 1, len(bucket_series))
+    windows = [[(b, s) for _, b, s in bucket_series[k - window + 1:k + 1]]
+               for k in ends]
+    pins = [params.pin for params in _fit_pin(windows, 1e-8)] if windows else []
+    return MetricSeries("pin", pool_id,
+                        np.array([bucket_series[k][0] for k in ends],
+                                 dtype=np.int64),
+                        np.array(pins))
 
 
 def order_count_buckets(trades: Iterable[TradeEvent], token: TokenId,

@@ -128,6 +128,8 @@ def load_pool_registry(path: str) -> dict[str, PoolRegistryEntry]:
             )
         except KeyError as err:
             raise ValidationError(f"{path}: missing pool field {err}") from None
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"{path}: {err}") from None
         if entry.pool_id in registry:
             raise ValidationError(f"duplicate pool_id {entry.pool_id}")
         registry[entry.pool_id] = entry
@@ -459,6 +461,8 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         return ScenarioConfig(**built)
     except KeyError as err:
         raise ValidationError(f"{path}: missing scenario field {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ the batched kernel in ``depegwatch.bocd`` replaced. It keeps the Normal-Gamma
 normaliser on every step, and serves as the reference for the batched
 ``tune`` and for version-1 state documents.
 
+``estimate_pin`` below is the PIN fit from before the Nelder-Mead starts ran
+in lockstep: one ``scipy.optimize.minimize`` call per start on the scalar
+``pin_likelihood``. The batched fit must match it bit for bit.
+
 The swap functions at the end are the StableSwap output path from before D
 was cached on the pool state: every call re-solves D with ``compute_d``, and
 ``marginal_price`` differences two ``get_dy`` calls on a fee-free copy of the
@@ -24,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import stats
+from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from depegwatch.bocd import (
@@ -35,7 +40,12 @@ from depegwatch.bocd import (
     hazard,
     log_sum_exp,
 )
-from depegwatch.core import MetricSeries, ValidationError
+from depegwatch.core import MetricSeries, NumericalError, ValidationError
+from depegwatch.metrics import (
+    _logit,
+    _pin_from_vector,
+    pin_likelihood,
+)
 from depegwatch.stableswap import PoolState, _solve_balance, compute_d
 from depegwatch.evaluation import (
     GridSpace,
@@ -122,6 +132,42 @@ def generate_pin_buckets(n, alpha, theta, eps_i, eps_b, eps_s, seed):
             b, s = rng.poisson(eps_b), rng.poisson(eps_s)
         out.append((int(b), int(s)))
     return out
+
+
+def estimate_pin(buckets, tol=1e-8):
+    """One scipy Nelder-Mead search per start, one likelihood call per
+    evaluation (reference for ``metrics.estimate_pin``)."""
+    if len(buckets) < 2:
+        raise ValidationError("PIN estimation needs at least 2 buckets")
+    mean_b = max(float(np.mean([b for b, _ in buckets])), 0.1)
+    mean_s = max(float(np.mean([s for _, s in buckets])), 0.1)
+    rate_starts = [
+        (0.5 * (mean_b + mean_s), mean_b, mean_s),
+        (mean_b + mean_s, 0.5 * mean_b, 0.5 * mean_s),
+    ]
+
+    def objective(u):
+        return -pin_likelihood(buckets, _pin_from_vector(u))
+
+    best = None
+    start_lls = []
+    for alpha0 in (0.1, 0.5):
+        for theta0 in (0.1, 0.5):
+            for eps_i0, eps_b0, eps_s0 in rate_starts:
+                u0 = np.array([_logit(alpha0), _logit(theta0),
+                               math.log(eps_i0), math.log(eps_b0),
+                               math.log(eps_s0)])
+                start_lls.append(-objective(u0))
+                result = minimize(objective, u0, method="Nelder-Mead",
+                                  options={"fatol": tol, "xatol": 1e-6,
+                                           "maxiter": 4000, "maxfev": 6000})
+                ll = -float(result.fun)
+                if math.isfinite(ll) and (best is None or ll > best[0]):
+                    best = (ll, _pin_from_vector(result.x))
+    if best is None or best[0] < max(start_lls):
+        raise NumericalError(f"PIN optimization failed; best so far {best}")
+    params = best[1]
+    return params, params.pin
 
 
 # ---------------------------------------------------------------------------

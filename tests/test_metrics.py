@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import minimize
 
+import oracles
 from oracles import generate_pin_buckets
 
+from depegwatch import metrics
 from depegwatch.core import (
     LiquidityEvent,
     MetricSeries,
     MissingPriceError,
+    NumericalError,
     PriceSample,
     PriceTable,
     TokenId,
@@ -345,6 +349,107 @@ class TestRollingPin:
         _, single = estimate_pin(data)
         assert len(out) == 1
         assert out.values[0] == pytest.approx(single, abs=1e-9)
+
+
+@st.composite
+def pin_counts(draw, min_size=2, max_size=30):
+    """(buys, sells) windows: all zero, one-sided or two-sided, counts up
+    to 1e4."""
+    top = draw(st.sampled_from([0, 1, 10, 100, 1000, 10_000]))
+    buys, sells = draw(st.sampled_from([(top, top), (top, 0), (0, top)]))
+    return draw(st.lists(st.tuples(st.integers(0, buys), st.integers(0, sells)),
+                         min_size=min_size, max_size=max_size))
+
+
+def fit_or_error(fit, buckets):
+    try:
+        params, pin = fit(buckets)
+    except NumericalError as err:
+        return str(err)
+    return params, repr(pin)
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+class TestPinOracle:
+    """The lockstep fit against one scipy search per start (tests/oracles)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pin_counts())
+    def test_estimate_pin_equals_oracle(self, counts):
+        assert (fit_or_error(estimate_pin, counts)
+                == fit_or_error(oracles.estimate_pin, counts))
+
+    @settings(max_examples=10, deadline=None)
+    @given(pin_counts(min_size=3, max_size=12), st.integers(1, 2))
+    def test_rolling_pin_equals_oracle_per_window(self, counts, extra):
+        window = max(2, len(counts) - extra)
+        buckets = [((k + 1) * 86400, b, s) for k, (b, s) in enumerate(counts)]
+        out = rolling_pin(buckets, window)
+        expected = [repr(oracles.estimate_pin(counts[k - window + 1:k + 1])[1])
+                    for k in range(window - 1, len(counts))]
+        assert [repr(v) for v in out.values.tolist()] == expected
+        assert out.timestamps.tolist() == [ts for ts, _, _ in
+                                           buckets[window - 1:]]
+
+    @pytest.mark.parametrize("counts", [
+        [(0, 0)] * 7,
+        [(5, 0), (9, 0), (0, 0), (12, 0), (3, 0), (7, 0), (1, 0)],
+        [(0, 4), (0, 0), (0, 11), (0, 2), (0, 6), (0, 9), (0, 1)],
+        [(9990, 10000), (10000, 9985), (9970, 9999), (9999, 9993),
+         (10000, 10000), (9981, 9996), (9990, 9970)],
+        [(10000, 0), (9998, 0), (10000, 0)],
+        [(3, 8), (11, 2)],
+        [(0, 0), (1, 0)],
+    ], ids=["all-zero", "buys-only", "sells-only", "near-1e4", "one-sided-1e4",
+            "two-buckets", "two-buckets-sparse"])
+    def test_edge_windows_equal_oracle(self, counts):
+        assert (fit_or_error(estimate_pin, counts)
+                == fit_or_error(oracles.estimate_pin, counts))
+
+    def test_negative_counts_raise_before_any_search(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(metrics, "_nelder_mead",
+                            lambda *args: started.append(args))
+        with pytest.raises(ValidationError, match="must be non-negative"):
+            estimate_pin([(1, 2), (-1, 3)])
+        buckets = [(k * 86400, 4, 4) for k in range(1, 9)] + [(9 * 86400, 4, -2)]
+        with pytest.raises(ValidationError, match="must be non-negative"):
+            rolling_pin(buckets, 3)
+        assert started == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                    min_size=2, max_size=8),
+           st.lists(st.lists(st.floats(-800, 800), min_size=5, max_size=5),
+                    min_size=1, max_size=6))
+    def test_objective_equals_scalar_likelihood(self, counts, points):
+        # +-800 saturates alpha/theta to 0 or 1 and underflows rates to 0
+        f = metrics._pin_objective([counts])(np.array(points),
+                                             np.zeros(len(points), dtype=int))
+        expected = [-pin_likelihood(counts, metrics._pin_from_vector(u))
+                    for u in np.array(points)]
+        assert f.tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -2.5, 0.7, 3.0]), min_size=1,
+                    max_size=4),
+           st.integers(1, 60), st.integers(1, 60))
+    def test_search_equals_scipy_within_budgets(self, x0, maxfev, maxiter):
+        # small budgets stop scipy mid-iteration (its _MaxFuncCallError)
+        x0 = np.array(x0)
+        ref = minimize(rosenbrock, x0, method="Nelder-Mead",
+                       options={"xatol": 1e-6, "fatol": 1e-8,
+                                "maxiter": maxiter, "maxfev": maxfev})
+        search = metrics._nelder_mead(x0, 1e-6, 1e-8, maxiter, maxfev)
+        block = next(search)
+        with pytest.raises(StopIteration) as done:
+            while True:
+                block = search.send(np.array([rosenbrock(u) for u in block]))
+        x, fun = done.value.value
+        assert x.tolist() == ref.x.tolist() and fun == ref.fun
 
 
 class TestOrderCountBuckets:

@@ -400,6 +400,16 @@ class TestManifest:
                      os.path.join(copy_dir, pipeline.MANIFEST_NAME)]) == 2
 
 
+_FRESH_STATE = bocd.state_to_dict(bocd.init_state(bocd.DetectorConfig()),
+                                   bocd.DetectorConfig())
+_SCENARIO_DOC = {
+    "seed": 1, "duration": DAY, "step": 300,
+    "tokens": [{"symbol": "USDX"}, {"symbol": "USDY"}],
+    "pool": {"balances": [5e6, 5e6], "amp": 50.0, "lp_supply": 1e7},
+    "peg_prices": {"USDX": 1.0, "USDY": 1.0},
+}
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["simulate"]) == 1
@@ -418,10 +428,20 @@ class TestExitCodes:
         ("resume", '{"version": 2,'),
         ("score", '{"alpha"'),
         ("verify", '{"outputs": {'),
+        ("resume", json.dumps({"version": 2})),
+        ("resume", json.dumps({**_FRESH_STATE, "t": "x"})),
+        ("resume", json.dumps({**_FRESH_STATE, "config": [1]})),
+        ("metrics", json.dumps({"pools": [{"pool_id": "p", "amp": "x",
+                                           "tokens": [{"symbol": "USDX"},
+                                                      {"symbol": "USDY"}]}]})),
+        ("simulate", json.dumps({**_SCENARIO_DOC,
+                                 "pool": {**_SCENARIO_DOC["pool"],
+                                          "amp": "x"}})),
     ], ids=["scenario-missing-field", "scenario-truncated", "scenario-list",
             "registry-missing-amp", "registry-truncated", "params-truncated",
             "state-truncated", "score-params-truncated",
-            "manifest-truncated"])
+            "manifest-truncated", "state-incomplete", "state-t-type",
+            "state-config-type", "registry-amp-type", "scenario-amp-type"])
     def test_validation_error_is_two(self, tmp_path, command, text, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
