@@ -284,15 +284,6 @@ def standardize(series: MetricSeries, ref_mean: float, ref_std: float) -> Metric
                         (series.values - ref_mean) / ref_std)
 
 
-def destandardize(series: MetricSeries, ref_mean: float, ref_std: float) -> MetricSeries:
-    """Inverse of :func:`standardize`."""
-    if not ref_std > 0:
-        raise ValidationError(f"ref_std must be > 0, got {ref_std}")
-    return MetricSeries(series.metric_name, series.pool_id,
-                        series.timestamps.copy(),
-                        series.values * ref_std + ref_mean)
-
-
 class PriceTable:
     """Price samples per token with nearest-sample lookup.
 

@@ -87,18 +87,6 @@ def label_depegs(share_prices: MetricSeries, virtual_prices: MetricSeries,
     ]
 
 
-def first_crossings(labels: Sequence[DepegLabel], period: int) -> list[Timestamp]:
-    """Collapse consecutive labelled runs (adjacent on the period grid) to
-    the first timestamp of each run."""
-    firsts: list[Timestamp] = []
-    prev_ts: Timestamp | None = None
-    for label in labels:
-        if prev_ts is None or label.ts - prev_ts > period:
-            firsts.append(label.ts)
-        prev_ts = label.ts
-    return firsts
-
-
 def price_threshold_crossings(prices: MetricSeries, level: float) -> list[Timestamp]:
     """Timestamps where the series crosses from >= level to < level."""
     vals = prices.values

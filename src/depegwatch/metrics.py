@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .core import (
     MetricSeries,
@@ -217,45 +217,70 @@ def shark_flow(trades: Iterable[TradeEvent], sharks: set[str], token: TokenId,
     return series.with_name("sharkflow")
 
 
-def _poisson_logpmf(k: np.ndarray, rate: float) -> np.ndarray:
-    # log of rate^k e^-rate / k!, with 0^0 treated as 1
-    if rate == 0:
-        return np.where(k == 0, 0.0, -np.inf)
-    return k * math.log(rate) - rate - gammaln(k + 1)
-
-
 def pin_likelihood(buckets: Sequence[tuple[int, int]], params: PinParams) -> float:
     """Log likelihood of (buy, sell) order counts under the informed-trading
     mixture: good-news, bad-news, and no-event branches combined with
-    log-sum-exp. Invalid parameters yield -inf rather than raising.
+    log-sum-exp. This is the one-point case of ``_pin_loglik``. Invalid
+    parameters yield -inf rather than raising, before the counts are checked.
     """
     if not params.is_valid():
         return -math.inf
-    b = np.array([bucket[0] for bucket in buckets], dtype=float)
-    s = np.array([bucket[1] for bucket in buckets], dtype=float)
+    return float(_pin_loglik(*_pin_counts([buckets]), [params])[0])
+
+
+def _pin_counts(windows: Sequence[Sequence[tuple[int, int]]]):
+    """The counts of the four Poisson terms (informed buys, sells, informed
+    sells, buys) as a (term x window x bucket) array, and their
+    ``gammaln(k + 1)``."""
+    b = np.array([[bucket[0] for bucket in w] for w in windows], dtype=float)
+    s = np.array([[bucket[1] for bucket in w] for w in windows], dtype=float)
     if np.any(b < 0) or np.any(s < 0):
         raise ValidationError("order counts must be non-negative")
+    k = np.stack([b, s, s, b])
+    return k, gammaln(k + 1)
 
-    with np.errstate(divide="ignore"):
-        log_alpha = math.log(params.alpha) if params.alpha > 0 else -math.inf
-        log_not_alpha = math.log1p(-params.alpha) if params.alpha < 1 else -math.inf
-        log_theta = math.log(params.theta) if params.theta > 0 else -math.inf
-        log_not_theta = math.log1p(-params.theta) if params.theta < 1 else -math.inf
 
-    # informed buying: buys arrive at eps_i + eps_b
-    good = (log_alpha + log_not_theta
-            + _poisson_logpmf(b, params.eps_i + params.eps_b)
-            + _poisson_logpmf(s, params.eps_s))
-    # informed selling: sells arrive at eps_i + eps_s
-    bad = (log_alpha + log_theta
-           + _poisson_logpmf(s, params.eps_i + params.eps_s)
-           + _poisson_logpmf(b, params.eps_b))
-    none = (log_not_alpha
-            + _poisson_logpmf(b, params.eps_b)
-            + _poisson_logpmf(s, params.eps_s))
-    per_bucket = logsumexp(np.stack([good, bad, none]), axis=0)
-    total = float(per_bucket.sum())
-    return total if math.isfinite(total) else -math.inf
+def _pin_loglik(k: np.ndarray, log_k_fact: np.ndarray,
+                params: Sequence[PinParams]) -> np.ndarray:
+    """Mixture log likelihood of column i of the (term x point x bucket)
+    counts from ``_pin_counts`` under ``params[i]``.
+
+    The branch log weights, the rates and their logs are scalars per point
+    from ``math``. A Poisson term is ``k * log(rate) - rate - log(k!)``, or
+    0 for ``k == 0`` and -inf otherwise at a zero rate. Each branch adds its
+    terms in a fixed order (the bad-news branch its sell term first), and
+    the log-sum-exp over branches is scipy 1.17's: the max, the ties ``m``
+    at the max, the sum ``s`` of ``exp`` of the rest, then
+    ``log1p(s / m) + log(m) + max``. An invalid point, or a non-finite
+    total, scores -inf.
+    """
+    consts = []
+    for p in params:
+        if not p.is_valid():  # every branch weighs 0: zero rates, -inf weights
+            consts.append((-math.inf,) * 3 + (0.0,) * 8)
+            continue
+        rates = (p.eps_i + p.eps_b, p.eps_s, p.eps_i + p.eps_s, p.eps_b)
+        log_alpha = math.log(p.alpha) if p.alpha > 0 else -math.inf
+        log_not_alpha = math.log1p(-p.alpha) if p.alpha < 1 else -math.inf
+        log_theta = math.log(p.theta) if p.theta > 0 else -math.inf
+        log_not_theta = math.log1p(-p.theta) if p.theta < 1 else -math.inf
+        consts.append((log_alpha + log_not_theta, log_alpha + log_theta,
+                       log_not_alpha, *rates,  # a zero rate's log is unused
+                       *[math.log(r or 1.0) for r in rates]))
+    consts = np.array(consts).T[:, :, None]
+    weights, rates, log_rates = consts[:3], consts[3:7], consts[7:]
+    terms = np.where(rates > 0, k * log_rates - rates - log_k_fact,
+                     np.where(k == 0, 0.0, -np.inf))
+    # good news: informed buys + sells; bad news: informed sells + buys;
+    # no event: buys + sells
+    branches = weights + terms[[0, 2, 3]] + terms[[1, 3, 1]]
+    top = branches.max(axis=0)
+    at_top = branches == top
+    ties = at_top.sum(axis=0).astype(float)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where all are -inf
+        rest = np.where(at_top, 0.0, np.exp(branches - top)).sum(axis=0)
+    total = (np.log1p(rest / ties) + np.log(ties) + top).sum(axis=1)
+    return np.where(np.isfinite(total), total, -np.inf)
 
 
 def _expit(z: float) -> float:
@@ -411,59 +436,16 @@ def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
 def _pin_objective(windows: Sequence[Sequence[tuple[int, int]]]):
     """``-pin_likelihood`` of many points at once, each on its own window.
 
-    The returned ``f(points, owner)`` scores row i of ``points`` (a vector
-    in ``_pin_from_vector``'s space) on ``windows[owner[i]]`` as one
-    (point x branch x bucket) block. Every window has the same length. The
-    counts and their ``gammaln(k + 1)`` are built once. Each branch adds its
-    terms in ``pin_likelihood``'s order, and the log-sum-exp is scipy's:
-    the max over branches, the ties ``m`` at the max, the sum ``s`` of
-    ``exp`` of the rest, then ``log1p(s / m) + log(m) + max``. So every
-    value is bit-identical to ``-pin_likelihood``, which a point with a
-    zero rate or invalid parameters is handed to.
+    The returned ``f(points, owner)`` maps row i of ``points`` (a vector in
+    ``_pin_from_vector``'s space) to its parameters and scores them on
+    ``windows[owner[i]]`` in one ``_pin_loglik`` block. Every window has the
+    same length; the counts and their ``gammaln(k + 1)`` are built once.
     """
-    b = np.array([[bucket[0] for bucket in w] for w in windows], dtype=float)
-    s = np.array([[bucket[1] for bucket in w] for w in windows], dtype=float)
-    if np.any(b < 0) or np.any(s < 0):
-        raise ValidationError("order counts must be non-negative")
-    log_b_fact, log_s_fact = gammaln(b + 1), gammaln(s + 1)
+    k, log_k_fact = _pin_counts(windows)
 
     def objective(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        f = np.empty(len(points))
-        rows, consts = [], []
-        for i, u in enumerate(points.tolist()):
-            p = _pin_from_vector(u)
-            rates = (p.eps_i + p.eps_b, p.eps_s, p.eps_i + p.eps_s, p.eps_b)
-            if not p.is_valid() or 0.0 in rates:
-                f[i] = -pin_likelihood(windows[owner[i]], p)
-                continue
-            log_alpha = math.log(p.alpha) if p.alpha > 0 else -math.inf
-            log_not_alpha = math.log1p(-p.alpha) if p.alpha < 1 else -math.inf
-            log_theta = math.log(p.theta) if p.theta > 0 else -math.inf
-            log_not_theta = math.log1p(-p.theta) if p.theta < 1 else -math.inf
-            rows.append(i)
-            consts.append((log_alpha + log_not_theta, log_alpha + log_theta,
-                           log_not_alpha, *rates, *map(math.log, rates)))
-        if rows:
-            w = owner[rows]
-            bw, sw, lbf, lsf = b[w], s[w], log_b_fact[w], log_s_fact[w]
-            (c_good, c_bad, c_none, r_informed_buy, r_sell, r_informed_sell,
-             r_buy, lr_informed_buy, lr_sell, lr_informed_sell, lr_buy) = (
-                np.array(consts).T[:, :, None])
-            # Poisson log pmfs k * log(rate) - rate - log(k!)
-            informed_buy = bw * lr_informed_buy - r_informed_buy - lbf
-            sell = sw * lr_sell - r_sell - lsf
-            informed_sell = sw * lr_informed_sell - r_informed_sell - lsf
-            buy = bw * lr_buy - r_buy - lbf
-            branches = (c_good + informed_buy + sell,
-                        c_bad + informed_sell + buy,
-                        c_none + buy + sell)
-            top = np.maximum(np.maximum(branches[0], branches[1]), branches[2])
-            ties = sum((x == top).astype(float) for x in branches)
-            rest = sum(np.where(x == top, 0.0, np.exp(x - top))
-                       for x in branches)
-            total = (np.log1p(rest / ties) + np.log(ties) + top).sum(axis=1)
-            f[rows] = np.where(np.isfinite(total), -total, np.inf)
-        return f
+        params = [_pin_from_vector(u) for u in points.tolist()]
+        return -_pin_loglik(k[:, owner], log_k_fact[:, owner], params)
 
     return objective
 

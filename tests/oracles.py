@@ -11,9 +11,13 @@ the batched kernel in ``depegwatch.bocd`` replaced. It keeps the Normal-Gamma
 normaliser on every step, and serves as the reference for the batched
 ``tune`` and for version-1 state documents.
 
-``estimate_pin`` below is the PIN fit from before the Nelder-Mead starts ran
-in lockstep: one ``scipy.optimize.minimize`` call per start on the scalar
-``pin_likelihood``. The batched fit must match it bit for bit.
+``pin_likelihood`` below is the PIN mixture likelihood from before it became
+the one-point case of the batched block: one branch array per mixture
+component, combined by ``scipy.special.logsumexp``. The library's block and
+its ``pin_likelihood`` must equal it bit for bit. ``estimate_pin`` is the
+PIN fit from before the Nelder-Mead starts ran in lockstep: one
+``scipy.optimize.minimize`` call per start on a scalar likelihood, by
+default the reference one. The batched fit must match it bit for bit.
 
 The swap functions at the end are the StableSwap output path from before D
 was cached on the pool state: every call re-solves D with ``compute_d``, and
@@ -29,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from depegwatch.bocd import (
     PREDICTIVE_SCALES,
@@ -41,11 +45,7 @@ from depegwatch.bocd import (
     log_sum_exp,
 )
 from depegwatch.core import MetricSeries, NumericalError, ValidationError
-from depegwatch.metrics import (
-    _logit,
-    _pin_from_vector,
-    pin_likelihood,
-)
+from depegwatch.metrics import PinParams, _logit, _pin_from_vector
 from depegwatch.stableswap import PoolState, _solve_balance, compute_d
 from depegwatch.evaluation import (
     GridSpace,
@@ -134,8 +134,47 @@ def generate_pin_buckets(n, alpha, theta, eps_i, eps_b, eps_s, seed):
     return out
 
 
-def estimate_pin(buckets, tol=1e-8):
-    """One scipy Nelder-Mead search per start, one likelihood call per
+def _poisson_logpmf(k: np.ndarray, rate: float) -> np.ndarray:
+    # log of rate^k e^-rate / k!, with 0^0 treated as 1
+    if rate == 0:
+        return np.where(k == 0, 0.0, -np.inf)
+    return k * math.log(rate) - rate - gammaln(k + 1)
+
+
+def pin_likelihood(buckets: Sequence[tuple[int, int]], params: PinParams) -> float:
+    """Mixture log likelihood with scipy's ``logsumexp`` (reference for
+    ``metrics.pin_likelihood`` and ``metrics._pin_objective``)."""
+    if not params.is_valid():
+        return -math.inf
+    b = np.array([bucket[0] for bucket in buckets], dtype=float)
+    s = np.array([bucket[1] for bucket in buckets], dtype=float)
+    if np.any(b < 0) or np.any(s < 0):
+        raise ValidationError("order counts must be non-negative")
+
+    with np.errstate(divide="ignore"):
+        log_alpha = math.log(params.alpha) if params.alpha > 0 else -math.inf
+        log_not_alpha = math.log1p(-params.alpha) if params.alpha < 1 else -math.inf
+        log_theta = math.log(params.theta) if params.theta > 0 else -math.inf
+        log_not_theta = math.log1p(-params.theta) if params.theta < 1 else -math.inf
+
+    # informed buying: buys arrive at eps_i + eps_b
+    good = (log_alpha + log_not_theta
+            + _poisson_logpmf(b, params.eps_i + params.eps_b)
+            + _poisson_logpmf(s, params.eps_s))
+    # informed selling: sells arrive at eps_i + eps_s
+    bad = (log_alpha + log_theta
+           + _poisson_logpmf(s, params.eps_i + params.eps_s)
+           + _poisson_logpmf(b, params.eps_b))
+    none = (log_not_alpha
+            + _poisson_logpmf(b, params.eps_b)
+            + _poisson_logpmf(s, params.eps_s))
+    per_bucket = logsumexp(np.stack([good, bad, none]), axis=0)
+    total = float(per_bucket.sum())
+    return total if math.isfinite(total) else -math.inf
+
+
+def estimate_pin(buckets, tol=1e-8, likelihood=pin_likelihood):
+    """One scipy Nelder-Mead search per start, one ``likelihood`` call per
     evaluation (reference for ``metrics.estimate_pin``)."""
     if len(buckets) < 2:
         raise ValidationError("PIN estimation needs at least 2 buckets")
@@ -147,7 +186,7 @@ def estimate_pin(buckets, tol=1e-8):
     ]
 
     def objective(u):
-        return -pin_likelihood(buckets, _pin_from_vector(u))
+        return -likelihood(buckets, _pin_from_vector(u))
 
     best = None
     start_lls = []

@@ -14,7 +14,6 @@ from depegwatch.core import (
     TradeEvent,
     ValidationError,
     aggregate,
-    destandardize,
     fit_stats,
     log_diff,
     standardize,
@@ -158,14 +157,6 @@ class TestStandardize:
         data = series([1.0, 1.0, 100.0], timestamps=[10, 20, 30])
         mean, std = fit_stats(data, start=None, end=20)
         assert mean == 1.0 and std == 0.0
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
-           st.floats(-10, 10), st.floats(0.1, 10))
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip(self, values, mean, std):
-        data = series(values)
-        back = destandardize(standardize(data, mean, std), mean, std)
-        assert np.allclose(back.values, data.values, atol=1e-12)
 
 
 class TestPriceTable:

@@ -7,10 +7,8 @@ from depegwatch.bocd import DetectorConfig, NGParams, detect_batch
 from depegwatch import evaluation
 from depegwatch.core import MetricSeries, ValidationError
 from depegwatch.evaluation import (
-    DepegLabel,
     GridSpace,
     ScoringConfig,
-    first_crossings,
     grid_configs,
     label_depegs,
     lf_score,
@@ -52,11 +50,6 @@ class TestLabelDepegs:
         with pytest.raises(ValidationError):
             label_depegs(series([1.0, 1.0]),
                          series([1.0, 1.0], timestamps=[3600, 9999]))
-
-    def test_first_crossings_collapse_runs(self):
-        labels = [DepegLabel(ts, 0.06) for ts in
-                  (3600, 7200, 10800, 36000, 39600)]
-        assert first_crossings(labels, 3600) == [3600, 36000]
 
 
 class TestPriceThresholdCrossings:
