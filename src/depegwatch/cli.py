@@ -139,6 +139,28 @@ def label(ctx: click.Context, data_dir: str, registry_path: str | None,
     click.echo(f"{len(labels)} depeg labels -> {out_path}")
 
 
+def _load_params(path: str | None) -> dict:
+    """The tuned-parameter document at ``path`` ({} without one). A prior
+    or hazard value that is not a number, or a ``standardize`` block without
+    numeric ``mean`` and ``std``, fails as ``path: ...``."""
+    if not path:
+        return {}
+    doc = pipeline._load_json(path)
+    numbers = [(key, doc[key]) for key in
+               ("mu", "alpha", "beta", "kappa", "hazard_lambda") if key in doc]
+    if "standardize" in doc:
+        stats = doc["standardize"]
+        if not isinstance(stats, dict) or not {"mean", "std"} <= stats.keys():
+            raise ValidationError(f"{path}: standardize needs mean and std")
+        numbers += [("standardize.mean", stats["mean"]),
+                    ("standardize.std", stats["std"])]
+    for key, value in numbers:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{path}: {key} must be a number, "
+                                  f"got {value!r}")
+    return doc
+
+
 def _prepare_series(series: MetricSeries, transform: str,
                     stats: tuple[float, float] | None) -> MetricSeries:
     series = pipeline.transform_series(series, transform)
@@ -172,7 +194,7 @@ def detect(ctx: click.Context, metric_file: str, params_path: str | None,
            save_state_path: str | None, out_override: str | None) -> None:
     """Detect changepoints on a metric file; resumable via saved state."""
     out_dir = _out_dir(ctx, out_override)
-    doc = pipeline._load_json(params_path) if params_path else {}
+    doc = _load_params(params_path)
 
     transform = transform or doc.get("transform", "none")
     stats = None
@@ -322,7 +344,7 @@ def score(labels_path: str, cp_path: str, pool: str, metric_name: str,
     predictions = pipeline.read_changepoints(cp_path)
     scoring = evaluation.ScoringConfig(margin_m=margin, f_beta=f_beta)
     report = evaluation.lf_score(label_ts, predictions, scoring)
-    doc = pipeline._load_json(params_path) if params_path else {}
+    doc = _load_params(params_path)
     row = (pool, metric_name, report.lf_score, report.precision,
            report.weighted_recall,
            pipeline.fmt(doc["alpha"]) if "alpha" in doc else "",

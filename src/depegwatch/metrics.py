@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .core import (
@@ -137,11 +138,9 @@ def rolling_volatility(prices: MetricSeries, window: int) -> MetricSeries:
     if returns.size < window:
         return MetricSeries(prices.metric_name, prices.pool_id,
                             np.array([], dtype=np.int64), np.array([]))
-    out_ts = prices.timestamps[window:]
-    out = np.empty(returns.size - window + 1)
-    for k in range(out.size):
-        out[k] = np.std(returns[k:k + window])
-    return MetricSeries(prices.metric_name, prices.pool_id, out_ts.copy(), out)
+    return MetricSeries(prices.metric_name, prices.pool_id,
+                        prices.timestamps[window:].copy(),
+                        np.std(sliding_window_view(returns, window), axis=1))
 
 
 def trade_markout(trade: TradeEvent, prices: PriceTable, horizon: int,
@@ -315,122 +314,93 @@ def _pin_starts(buckets: Sequence[tuple[int, int]]) -> list[np.ndarray]:
             for eps_i0, eps_b0, eps_s0 in rate_starts]
 
 
-class _MaxFevReached(Exception):
-    """scipy's ``_MaxFuncCallError``: an evaluation past ``maxfev``."""
+def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
+                 maxiter: int, maxfev: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy 1.17.1's ``_minimize_neldermead`` from every row of ``x0``.
 
-
-def _spend(fcalls: int, maxfev: int) -> None:
-    if fcalls >= maxfev:
-        raise _MaxFevReached
-
-
-def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
-                 maxfev: int):
-    """scipy 1.17.1's ``_minimize_neldermead`` as a generator.
-
-    Only the path ``estimate_pin`` used is kept: no bounds, no callback,
-    ``adaptive=False``. The generator yields (k, n) blocks of points, is
-    sent their k objective values and returns ``(x, fun)``. Points that
-    scipy evaluates one after another without looking at the values (the
-    initial simplex, a shrink) come as one block. Running out of ``maxfev``
-    aborts the iteration where scipy's ``_MaxFuncCallError`` would, and
-    every array expression is scipy's, so the iterates are bit-identical.
+    Only the path ``estimate_pin`` uses is kept: no bounds, no callback,
+    ``adaptive=False``. Row s of the (search x N) ``x0`` starts search s;
+    the searches share one (search x N+1 x N) simplex array with their own
+    ``fcalls`` and ``iterations`` counters. ``f(points, rows)`` scores
+    point i for search ``rows[i]``; a round makes at most three calls (the
+    reflections, the second points, the shrunk vertices) and none with zero
+    points. Every array expression and every ``maxfev`` cut is scipy's, so
+    row s of the returned ``(x, fun)`` is bit-identical to
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` from ``x0[s]``.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    N = len(x0)
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + 0.05) * y[k]
-        else:
-            y[k] = 0.00025
-        sim[k + 1] = y
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    fcalls = min(N + 1, maxfev)
-    fsim[:fcalls] = yield sim[:fcalls]
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    S, N = x0.shape
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    y = sim[:, k + 1, k]
+    sim[:, k + 1, k] = np.where(y != 0, (1 + 0.05) * y, 0.00025)
+    fsim = np.full((S, N + 1), np.inf)
+    n0 = min(N + 1, maxfev)
+    if n0:
+        fsim[:, :n0] = f(sim[:, :n0].reshape(-1, N),
+                         np.repeat(np.arange(S), n0)).reshape(S, n0)
 
-    iterations = 1
-    while fcalls < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
+    def sort(rows, s, fs):
+        ind = np.argsort(fs, axis=1)
+        sim[rows] = np.take_along_axis(s, ind[:, :, None], 1)
+        fsim[rows] = np.take_along_axis(fs, ind, 1)
 
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = (yield xr[None])[0]
-            fcalls += 1
-            doshrink = 0
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        sort(np.arange(S), sim, fsim)
+    fcalls = np.full(S, n0)
+    iterations = np.ones(S, dtype=int)
+    running = np.ones(S, dtype=bool)  # False once converged: no more sorts
+    while True:
+        rows = np.flatnonzero(running & (fcalls < maxfev)
+                              & (iterations < maxiter))
+        s, fs = sim[rows], fsim[rows]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol))
+        running[rows[done]] = False
+        rows, s, fs = rows[~done], s[~done], fs[~done]
+        if not rows.size:
+            break
 
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                _spend(fcalls, maxfev)
-                fxe = (yield xe[None])[0]
-                fcalls += 1
+        # (1 + c) * xbar - c * worst: reflect c = 1, expand 2, contract
+        # outside 0.5, inside -0.5 (a - (-b) is a + b bit for bit)
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        c = np.ones((rows.size, 1))
+        xr = (1 + c) * xbar - c * s[:, -1]
+        fxr = f(xr, rows)
+        fcalls[rows] += 1
+        expand = fxr < fs[:, 0]
+        accept = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~accept & (fxr < fs[:, -1])
+        c[:, 0] = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))
+        x2 = (1 + c) * xbar - c * s[:, -1]
+        second = ~accept & (fcalls[rows] < maxfev)
+        f2 = np.full(rows.size, np.nan)
+        if second.any():
+            f2[second] = f(x2[second], rows[second])
+            fcalls[rows[second]] += 1
+        keep_2 = second & np.where(expand, f2 < fxr, np.where(
+            outside, f2 <= fxr, f2 < fs[:, -1]))
+        keep_r = accept | (second & expand & ~keep_2)
+        shrink = second & ~expand & ~keep_2
+        s[keep_r, -1], fs[keep_r, -1] = xr[keep_r], fxr[keep_r]
+        s[keep_2, -1], fs[keep_2, -1] = x2[keep_2], f2[keep_2]
 
-                if fxe < fxr:
-                    sim[-1] = xe
-                    fsim[-1] = fxe
-                else:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-            else:  # fsim[0] <= fxr
-                if fxr < fsim[-2]:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-                else:  # fxr >= fsim[-2]
-                    # Perform contraction
-                    if fxr < fsim[-1]:
-                        xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                        _spend(fcalls, maxfev)
-                        fxc = (yield xc[None])[0]
-                        fcalls += 1
+        # scipy moves vertex j before calling on it, so the call past
+        # maxfev aborts with its vertex moved
+        n = np.minimum(N, maxfev - fcalls[rows])
+        moved = shrink[:, None] & (k <= n[:, None])
+        s[:, 1:] = np.where(moved[:, :, None],
+                            s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1]), s[:, 1:])
+        scored = moved & (k < n[:, None])
+        if scored.any():
+            fs[:, 1:][scored] = f(s[:, 1:][scored],
+                                  np.repeat(rows, scored.sum(axis=1)))
+            fcalls[rows] += scored.sum(axis=1)
+        # scipy does not count a round cut short by maxfev, but such a
+        # round leaves fcalls == maxfev, so the search stops either way
+        iterations[rows] += 1
+        sort(rows, s, fs)
 
-                        if fxc <= fxr:
-                            sim[-1] = xc
-                            fsim[-1] = fxc
-                        else:
-                            doshrink = 1
-                    else:
-                        # Perform an inside contraction
-                        xcc = (1 - psi) * xbar + psi * sim[-1]
-                        _spend(fcalls, maxfev)
-                        fxcc = (yield xcc[None])[0]
-                        fcalls += 1
-
-                        if fxcc < fsim[-1]:
-                            sim[-1] = xcc
-                            fsim[-1] = fxcc
-                        else:
-                            doshrink = 1
-
-                    if doshrink:
-                        # scipy moves vertex j before calling on it, so the
-                        # call past maxfev raises with its vertex moved
-                        n = min(N, maxfev - fcalls)
-                        for j in range(1, min(N, n + 1) + 1):
-                            sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        if n:
-                            fsim[1:n + 1] = yield sim[1:n + 1]
-                            fcalls += n
-                        if n < N:
-                            raise _MaxFevReached
-            iterations += 1
-        except _MaxFevReached:
-            pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    return sim[0], np.min(fsim)
+    return sim[:, 0], fsim.min(axis=1)
 
 
 def _pin_objective(windows: Sequence[Sequence[tuple[int, int]]]):
@@ -452,43 +422,25 @@ def _pin_objective(windows: Sequence[Sequence[tuple[int, int]]]):
 
 def _fit_pin(windows: Sequence[Sequence[tuple[int, int]]],
              tol: float) -> list[PinParams]:
-    """Maximum-likelihood fit of each window, all searches in lockstep.
+    """Maximum-likelihood fit of each window, every start of every window
+    in one ``_nelder_mead`` call.
 
-    Every start of every window is one ``_nelder_mead`` search; each round
-    gathers the points that all live searches ask for into one objective
-    call. A window's fit is the best finite search result, and it must be
-    at least as likely as the window's best start.
+    A window's fit is the best finite search result, and it must be at
+    least as likely as the window's best start.
     """
     objective = _pin_objective(windows)
-    starts = [u0 for w in windows for u0 in _pin_starts(w)]
+    starts = np.array([u0 for w in windows for u0 in _pin_starts(w)])
     owner = np.arange(len(starts)) // (len(starts) // len(windows))
-    start_lls = -objective(np.array(starts), owner)
-    searches = [_nelder_mead(u0, 1e-6, tol, 4000, 6000) for u0 in starts]
-    blocks = [next(search) for search in searches]
-    results: list = [None] * len(searches)
-    live = list(range(len(searches)))
-    while live:
-        sizes = [len(blocks[i]) for i in live]
-        f = objective(np.concatenate([blocks[i] for i in live]),
-                      np.repeat(owner[live], sizes))
-        still, pos = [], 0
-        for i, k in zip(live, sizes):
-            try:
-                blocks[i] = searches[i].send(f[pos:pos + k])
-                still.append(i)
-            except StopIteration as done:
-                results[i] = done.value
-            pos += k
-        live = still
-
+    start_lls = -objective(starts, owner)
+    x, fun = _nelder_mead(lambda points, rows: objective(points, owner[rows]),
+                          starts, 1e-6, tol, 4000, 6000)
     fits = []
     for w in range(len(windows)):
         best: tuple[float, PinParams] | None = None
         for i in np.flatnonzero(owner == w):
-            x, fun = results[i]
-            ll = -float(fun)
+            ll = -float(fun[i])
             if math.isfinite(ll) and (best is None or ll > best[0]):
-                best = (ll, _pin_from_vector(x))
+                best = (ll, _pin_from_vector(x[i]))
         if best is None or best[0] < max(start_lls[owner == w]):
             raise NumericalError(f"PIN optimization failed; best so far {best}")
         fits.append(best[1])
@@ -502,9 +454,9 @@ def estimate_pin(buckets: Sequence[tuple[int, int]],
     Derivative-free simplex search in an unconstrained space (logit for the
     probabilities, log for the rates) from 8 deterministic starts spanning
     alpha, theta in {0.1, 0.5} with rate starts from the sample means. The
-    search is scipy's Nelder-Mead, ported so the 8 starts advance in
-    lockstep with one batched likelihood call per round; the fit is
-    bit-identical to running ``scipy.optimize.minimize`` on each start.
+    search is scipy's Nelder-Mead, ported to run all 8 starts as one array
+    program; the fit is bit-identical to running
+    ``scipy.optimize.minimize`` on each start.
     """
     if len(buckets) < 2:
         raise ValidationError("PIN estimation needs at least 2 buckets")
@@ -512,23 +464,29 @@ def estimate_pin(buckets: Sequence[tuple[int, int]],
     return params, params.pin
 
 
-def rolling_pin(bucket_series: Sequence[tuple[Timestamp, int, int]],
-                window: int, *, pool_id: str = "") -> MetricSeries:
-    """PIN re-estimated over each trailing window of order-count buckets.
+def rolling_pin(bucket_series: Sequence[Sequence[tuple[Timestamp, int, int]]],
+                window: int, *, pool_id: str = "") -> list[MetricSeries]:
+    """PIN re-estimated over each trailing window of each order-count
+    bucket series; one ``MetricSeries`` per input series.
 
     Each window is fitted as by ``estimate_pin``, but every start of every
-    window advances in lockstep, so a round makes one likelihood call.
+    window of every series runs in one search, so a search round makes at
+    most three likelihood calls for all of them.
     """
     if window < 2:
         raise ValidationError("rolling PIN window must cover >= 2 buckets")
-    ends = range(window - 1, len(bucket_series))
-    windows = [[(b, s) for _, b, s in bucket_series[k - window + 1:k + 1]]
-               for k in ends]
-    pins = [params.pin for params in _fit_pin(windows, 1e-8)] if windows else []
-    return MetricSeries("pin", pool_id,
-                        np.array([bucket_series[k][0] for k in ends],
-                                 dtype=np.int64),
-                        np.array(pins))
+    ends = [range(window - 1, len(series)) for series in bucket_series]
+    windows = [[(b, s) for _, b, s in series[k - window + 1:k + 1]]
+               for series, series_ends in zip(bucket_series, ends)
+               for k in series_ends]
+    pins = np.array([params.pin for params in _fit_pin(windows, 1e-8)]
+                    if windows else [])
+    per_series = np.split(pins, np.cumsum([len(e) for e in ends])[:-1])
+    return [MetricSeries("pin", pool_id,
+                         np.array([series[k][0] for k in series_ends],
+                                  dtype=np.int64), values)
+            for series, series_ends, values
+            in zip(bucket_series, ends, per_series)]
 
 
 def order_count_buckets(trades: Iterable[TradeEvent], token: TokenId,

@@ -524,12 +524,17 @@ def compute_pool_metrics(
         span = (bucket_end(stream.trades[-1].ts, cfg.pin_bucket)
                 - bucket_end(stream.trades[0].ts, cfg.pin_bucket))
         if span // cfg.pin_bucket + 1 >= cfg.pin_window:
+            # one call for all tokens, so a search round serves every window
+            tokens, bucket_series = [], []
             for token in stream.tokens:
                 buckets = metrics.order_count_buckets(stream.trades, token,
                                                       cfg.pin_bucket)
                 if len(buckets) >= cfg.pin_window:
-                    out.append(("pin", token, metrics.rolling_pin(
-                        buckets, cfg.pin_window, pool_id=pool_id)))
+                    tokens.append(token)
+                    bucket_series.append(buckets)
+            pins = metrics.rolling_pin(bucket_series, cfg.pin_window,
+                                       pool_id=pool_id)
+            out.extend(("pin", token, pin) for token, pin in zip(tokens, pins))
     return out
 
 

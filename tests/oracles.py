@@ -15,9 +15,13 @@ normaliser on every step, and serves as the reference for the batched
 the one-point case of the batched block: one branch array per mixture
 component, combined by ``scipy.special.logsumexp``. The library's block and
 its ``pin_likelihood`` must equal it bit for bit. ``estimate_pin`` is the
-PIN fit from before the Nelder-Mead starts ran in lockstep: one
+PIN fit from before all Nelder-Mead starts ran as one array search: one
 ``scipy.optimize.minimize`` call per start on a scalar likelihood, by
-default the reference one. The batched fit must match it bit for bit.
+default the reference one. The array search must match it bit for bit.
+
+``rolling_volatility`` is the per-window ``np.std`` loop that a single
+``np.std`` over a sliding-window view replaced; the library must equal it
+bit for bit.
 
 The swap functions at the end are the StableSwap output path from before D
 was cached on the pool state: every call re-solves D with ``compute_d``, and
@@ -207,6 +211,24 @@ def estimate_pin(buckets, tol=1e-8, likelihood=pin_likelihood):
         raise NumericalError(f"PIN optimization failed; best so far {best}")
     params = best[1]
     return params, params.pin
+
+
+def rolling_volatility(prices: MetricSeries, window: int) -> MetricSeries:
+    """One ``np.std`` call per trailing window of log returns (reference for
+    ``metrics.rolling_volatility``)."""
+    if window < 2:
+        raise ValidationError("volatility window must cover >= 2 returns")
+    if np.any(prices.values <= 0):
+        raise ValidationError("volatility requires positive prices")
+    returns = np.diff(np.log(prices.values))
+    if returns.size < window:
+        return MetricSeries(prices.metric_name, prices.pool_id,
+                            np.array([], dtype=np.int64), np.array([]))
+    out_ts = prices.timestamps[window:]
+    out = np.empty(returns.size - window + 1)
+    for k in range(out.size):
+        out[k] = np.std(returns[k:k + window])
+    return MetricSeries(prices.metric_name, prices.pool_id, out_ts.copy(), out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -166,6 +168,19 @@ class TestRollingVolatility:
                               np.array([1.0, -1.0]))
         with pytest.raises(ValidationError):
             rolling_volatility(prices, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 200), st.integers(0, 2**32 - 1),
+           st.integers(0, 250))
+    def test_equals_per_window_loop(self, window, seed, extra):
+        rng = np.random.default_rng(seed)
+        n = window + extra
+        prices = MetricSeries("p", "", np.arange(1, n + 1) * 3600,
+                              np.exp(rng.normal(0, 0.05, n)))
+        out = rolling_volatility(prices, window)
+        expected = oracles.rolling_volatility(prices, window)
+        assert out.values.tolist() == expected.values.tolist()
+        assert out.timestamps.tolist() == expected.timestamps.tolist()
 
 
 class TestMarkouts:
@@ -339,24 +354,39 @@ class TestEstimatePin:
 class TestRollingPin:
     def test_warmup_and_window(self):
         buckets = [(k * 86400, 10, 10) for k in range(1, 6)]
-        out = rolling_pin(buckets, window=3)
+        [out] = rolling_pin([buckets], window=3)
         assert len(out) == 3
         assert out.timestamps.tolist() == [3 * 86400, 4 * 86400, 5 * 86400]
 
     def test_constant_rate_data_near_constant(self):
         data = generate_pin_buckets(12, 0.0, 0.5, 10, 30, 30, seed=9)
         buckets = [((k + 1) * 86400, b, s) for k, (b, s) in enumerate(data)]
-        out = rolling_pin(buckets, window=6)
+        [out] = rolling_pin([buckets], window=6)
         assert np.all(out.values < 0.2)
         assert np.ptp(out.values) < 0.2
 
     def test_window_covering_all_equals_single_estimate(self):
         data = generate_pin_buckets(8, 0.5, 0.2, 15, 20, 20, seed=4)
         buckets = [((k + 1) * 86400, b, s) for k, (b, s) in enumerate(data)]
-        out = rolling_pin(buckets, window=8)
+        [out] = rolling_pin([buckets], window=8)
         _, single = estimate_pin(data)
         assert len(out) == 1
         assert out.values[0] == pytest.approx(single, abs=1e-9)
+
+    def test_many_series_equal_one_call_each(self):
+        # different window counts, and a series too short for any window
+        series = [[((k + 1) * 86400, b, s) for k, (b, s) in enumerate(
+                      generate_pin_buckets(n, 0.4, 0.3, 12, 8, 8, seed=n))]
+                  for n in (6, 3, 5)]
+        together = rolling_pin(series, window=4, pool_id="p")
+        assert [len(out) for out in together] == [3, 0, 2]
+        for buckets, out in zip(series, together):
+            [single] = rolling_pin([buckets], window=4, pool_id="p")
+            assert out.pool_id == "p"
+            assert out.timestamps.tolist() == single.timestamps.tolist()
+            assert ([repr(v) for v in out.values.tolist()]
+                    == [repr(v) for v in single.values.tolist()])
+        assert rolling_pin([], window=4) == []
 
 
 @st.composite
@@ -386,7 +416,7 @@ def rosenbrock(x):
 
 
 class TestPinOracle:
-    """The lockstep fit against one scipy search per start (tests/oracles).
+    """The array search against one scipy search per start (tests/oracles).
 
     The Hypothesis fits give the oracle search the library
     ``pin_likelihood``, which ``test_objective_equals_scalar_likelihood``
@@ -405,7 +435,7 @@ class TestPinOracle:
     def test_rolling_pin_equals_oracle_per_window(self, counts, extra):
         window = max(2, len(counts) - extra)
         buckets = [((k + 1) * 86400, b, s) for k, (b, s) in enumerate(counts)]
-        out = rolling_pin(buckets, window)
+        [out] = rolling_pin([buckets], window)
         expected = [repr(oracle_fit(counts[k - window + 1:k + 1])[1])
                     for k in range(window - 1, len(counts))]
         assert [repr(v) for v in out.values.tolist()] == expected
@@ -435,7 +465,7 @@ class TestPinOracle:
             estimate_pin([(1, 2), (-1, 3)])
         buckets = [(k * 86400, 4, 4) for k in range(1, 9)] + [(9 * 86400, 4, -2)]
         with pytest.raises(ValidationError, match="must be non-negative"):
-            rolling_pin(buckets, 3)
+            rolling_pin([buckets[:4], buckets], 3)
         assert started == []
 
     @settings(max_examples=200, deadline=None)
@@ -453,22 +483,28 @@ class TestPinOracle:
         assert [-pin_likelihood(counts, p) for p in params] == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.sampled_from([0.0, -2.5, 0.7, 3.0]), min_size=1,
-                    max_size=4),
-           st.integers(1, 60), st.integers(1, 60))
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+               st.lists(st.sampled_from([0.0, -2.5, 0.7, 3.0]), min_size=n,
+                        max_size=n), min_size=1, max_size=4)),
+           st.integers(1, 60) | st.just(6000),
+           st.integers(1, 60) | st.just(4000))
     def test_search_equals_scipy_within_budgets(self, x0, maxfev, maxiter):
-        # small budgets stop scipy mid-iteration (its _MaxFuncCallError)
+        # small budgets stop scipy mid-iteration (its _MaxFuncCallError),
+        # and each row of one call must still be its own scipy search
         x0 = np.array(x0)
-        ref = minimize(rosenbrock, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-8,
-                                "maxiter": maxiter, "maxfev": maxfev})
-        search = metrics._nelder_mead(x0, 1e-6, 1e-8, maxiter, maxfev)
-        block = next(search)
-        with pytest.raises(StopIteration) as done:
-            while True:
-                block = search.send(np.array([rosenbrock(u) for u in block]))
-        x, fun = done.value.value
-        assert x.tolist() == ref.x.tolist() and fun == ref.fun
+        sizes = []
+
+        def f(points, rows):
+            sizes.append(len(rows))
+            return np.array([rosenbrock(u) for u in points])
+
+        x, fun = metrics._nelder_mead(f, x0, 1e-6, 1e-8, maxiter, maxfev)
+        assert 0 not in sizes
+        for row, x_row, fun_row in zip(x0, x, fun):
+            ref = minimize(rosenbrock, row, method="Nelder-Mead",
+                           options={"xatol": 1e-6, "fatol": 1e-8,
+                                    "maxiter": maxiter, "maxfev": maxfev})
+            assert x_row.tolist() == ref.x.tolist() and fun_row == ref.fun
 
 
 class TestOrderCountBuckets:
@@ -486,3 +522,21 @@ class TestOrderCountBuckets:
         buckets = order_count_buckets(trades, A, bucket=day)
         assert buckets == [(day, 1, 0), (2 * day, 0, 0), (3 * day, 0, 0),
                            (4 * day, 0, 1)]
+
+
+def test_package_never_imports_scipy_optimize():
+    # the Nelder-Mead search is the package's own; importing scipy.optimize
+    # would cost every command its load time and resident memory
+    probe = (
+        "import importlib, pkgutil, sys; sys.path.insert(0, sys.argv[1]); "
+        "import depegwatch; "
+        "[importlib.import_module(m.name) for m in "
+        "pkgutil.iter_modules(depegwatch.__path__, 'depegwatch.')]; "
+        "print(sorted(m for m in sys.modules if m.startswith('depegwatch'))); "
+        "print('scipy.optimize' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(metrics.__file__))
+    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
+                         capture_output=True, text=True,
+                         timeout=60).stdout.splitlines()
+    assert "'depegwatch.metrics'" in out[0] and "'depegwatch.cli'" in out[0]
+    assert out[1] == "False"

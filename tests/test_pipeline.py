@@ -437,11 +437,17 @@ class TestExitCodes:
         ("simulate", json.dumps({**_SCENARIO_DOC,
                                  "pool": {**_SCENARIO_DOC["pool"],
                                           "amp": "x"}})),
+        ("detect", json.dumps({"standardize": {}})),
+        ("detect", json.dumps({"alpha": "x"})),
+        ("detect", json.dumps({"standardize": {"mean": "a", "std": 1}})),
+        ("score", json.dumps({"alpha": "x"})),
     ], ids=["scenario-missing-field", "scenario-truncated", "scenario-list",
             "registry-missing-amp", "registry-truncated", "params-truncated",
             "state-truncated", "score-params-truncated",
             "manifest-truncated", "state-incomplete", "state-t-type",
-            "state-config-type", "registry-amp-type", "scenario-amp-type"])
+            "state-config-type", "registry-amp-type", "scenario-amp-type",
+            "params-standardize-incomplete", "params-alpha-type",
+            "params-mean-type", "score-params-alpha-type"])
     def test_validation_error_is_two(self, tmp_path, command, text, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
