@@ -296,12 +296,12 @@ class PriceTable:
         by_token: dict[TokenId, list[tuple[int, float]]] = {}
         for s in samples:
             by_token.setdefault(s.token, []).append((s.ts, s.usd_price))
-        self._data: dict[TokenId, tuple[np.ndarray, np.ndarray]] = {}
+        # Plain lists: bisecting a numpy array boxes every probe.
+        self._data: dict[TokenId, tuple[list[int], list[float]]] = {}
         for token, pairs in by_token.items():
             pairs.sort(key=lambda p: p[0])
-            ts = np.array([p[0] for p in pairs], dtype=np.int64)
-            px = np.array([p[1] for p in pairs])
-            self._data[token] = (ts, px)
+            self._data[token] = ([int(p[0]) for p in pairs],
+                                 [float(p[1]) for p in pairs])
 
     def lookup(self, token: TokenId, ts: Timestamp, tol: int) -> float | None:
         """Price of ``token`` nearest ``ts`` within ``tol`` seconds, else None."""
@@ -312,10 +312,10 @@ class PriceTable:
         i = bisect_left(times, ts)
         best: tuple[int, float] | None = None
         for j in (i - 1, i):
-            if 0 <= j < times.size:
-                dist = abs(int(times[j]) - ts)
+            if 0 <= j < len(times):
+                dist = abs(times[j] - ts)
                 if dist <= tol and (best is None or dist < best[0]):
-                    best = (dist, float(prices[j]))
+                    best = (dist, prices[j])
         return None if best is None else best[1]
 
     def at(self, token: TokenId, ts: Timestamp, tol: int) -> float:
@@ -332,6 +332,5 @@ class PriceTable:
         entry = self._data.get(token)
         if entry is None:
             raise MissingPriceError(f"no samples for token {token.symbol}")
-        times, prices = entry
-        return aggregate(zip(times.tolist(), prices.tolist()), period, "last",
+        return aggregate(zip(*entry), period, "last",
                          metric_name="price", pool_id=token.symbol)

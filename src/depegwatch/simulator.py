@@ -30,7 +30,7 @@ from .core import (
     TradeEvent,
     ValidationError,
 )
-from .stableswap import PoolState, apply_swap, marginal_price
+from .stableswap import PoolState, _price_after, apply_swap, marginal_price
 
 _U64 = (1 << 64) - 1
 _AGENT_STREAM = 1 << 32  # keeps agent draws clear of per-token price streams
@@ -163,16 +163,15 @@ def _informed_targets(cfg: ScenarioConfig, t: int) -> list[TokenId]:
 def _arb_size(state: PoolState, i: int, j: int, target_ratio: float) -> float:
     """Largest sell of token i that keeps the pool's marginal price of i at
     or above the external ratio (bisection; 0 when even a dust trade
-    overshoots)."""
+    overshoots). Each trial is priced on its post-trade balances."""
     lo, hi = 0.0, 0.45 * state.balances[i]
-    if marginal_price(apply_swap(state, i, j, hi)[0], i, j) > target_ratio:
+    if _price_after(state, i, j, hi) > target_ratio:
         return hi
     for _ in range(24):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        trial = apply_swap(state, i, j, mid)[0]
-        if marginal_price(trial, i, j) > target_ratio:
+        if _price_after(state, i, j, mid) > target_ratio:
             lo = mid
         else:
             hi = mid

@@ -4,16 +4,18 @@ The pool invariant in canonical form is
 
     A * n^n * sum(x) + D = A * D * n^n + D^(n+1) / (n^n * prod(x))
 
-solved for D by Newton's method with a bisection fallback, once per pool
-state (``PoolState.d``). Swap outputs hold that D fixed and solve for the
-counter-balance. Everything operates on float64; this is an analytics
-library, not a fixed-point contract port.
+Two float kernels over balance tuples do the work: ``_d`` solves it for D
+by Newton's method with a bisection fallback, and ``_dy`` holds D fixed
+and solves for the counter-balance of a swap. D is solved once per pool
+state (``PoolState.d``) or per priced trial (``_price_after``), never with
+a residual unless ``compute_d`` asks for one. Everything operates on
+float64; this is an analytics library, not a fixed-point contract port.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -52,7 +54,7 @@ class PoolState:
     @cached_property
     def d(self) -> float:
         """Invariant D, solved on first use; ``replace`` starts a new cache."""
-        return compute_d(self).d
+        return _d(self.balances, self.amp)[0]
 
 
 @dataclass(frozen=True)
@@ -64,49 +66,60 @@ class InvariantSolution:
 
 def invariant_residual(state: PoolState, d: float) -> float:
     """Signed value of the canonical invariant at a candidate D."""
-    n = state.n
-    ann = state.amp * n**n
-    s = sum(state.balances)
-    prod = math.prod(state.balances)
+    return _residual(state.balances, state.amp, d)
+
+
+def _residual(balances: Sequence[float], amp: float, d: float) -> float:
+    n = len(balances)
+    ann = amp * n**n
+    s = sum(balances)
+    prod = math.prod(balances)
     return ann * s + d - ann * d - d ** (n + 1) / (n**n * prod)
 
 
 def compute_d(state: PoolState) -> InvariantSolution:
-    """Solve the invariant for D, starting Newton from sum(x).
+    """Solve the invariant for D, with the iteration count and residual.
 
-    Converged when |dD| < 1e-10 * D within 255 iterations; if Newton leaves
-    the feasible bracket it falls back to bisection on
-    [n * geomean(x), sum(x)], which provably brackets the root.
+    Converged when |dD| < 1e-10 * D within 255 Newton iterations from
+    sum(x); if Newton leaves the feasible bracket it falls back to bisection
+    on [n * geomean(x), sum(x)], which provably brackets the root.
     """
-    if any(b <= 0 for b in state.balances):
+    d, iterations = _d(state.balances, state.amp)
+    return InvariantSolution(d, iterations, invariant_residual(state, d))
+
+
+def _d(balances: Sequence[float], amp: float) -> tuple[float, int]:
+    """Invariant D of the balances and the iterations spent: Newton steps,
+    or 255 plus the bisection steps after a fallback."""
+    if any(b <= 0 for b in balances):
         raise ValidationError("compute_d requires strictly positive balances")
-    n = state.n
-    s = sum(state.balances)
-    ann = state.amp * n**n
+    n = len(balances)
+    s = sum(balances)
+    ann = amp * n**n
 
     d = s
     for iteration in range(1, MAX_ITERATIONS + 1):
         d_p = d
-        for x in state.balances:
+        for x in balances:
             d_p = d_p * d / (x * n)
         d_prev = d
         d = (ann * s + n * d_p) * d / ((ann - 1.0) * d + (n + 1) * d_p)
         if not math.isfinite(d) or d <= 0:
             break
         if abs(d - d_prev) < REL_TOL * d:
-            return InvariantSolution(d, iteration, invariant_residual(state, d))
+            return d, iteration
 
-    return _bisect_d(state, s)
+    return _bisect_d(balances, amp, s)
 
 
-def _bisect_d(state: PoolState, s: float) -> InvariantSolution:
+def _bisect_d(balances: Sequence[float], amp: float, s: float) -> tuple[float, int]:
     # Residual is >= 0 at n*geomean(x) and <= 0 at sum(x) (AM-GM), so the
     # unique positive root is bracketed even for extreme imbalance.
-    n = state.n
-    lo = n * math.exp(sum(math.log(x) for x in state.balances) / n)
+    n = len(balances)
+    lo = n * math.exp(sum(math.log(x) for x in balances) / n)
     hi = s
-    f_lo = invariant_residual(state, lo)
-    f_hi = invariant_residual(state, hi)
+    f_lo = _residual(balances, amp, lo)
+    f_hi = _residual(balances, amp, hi)
     if f_lo < 0 or f_hi > 0:
         raise NumericalError(
             f"invariant solver failed; residuals at bracket: {f_lo}, {f_hi}"
@@ -114,36 +127,42 @@ def _bisect_d(state: PoolState, s: float) -> InvariantSolution:
     iterations = 0
     while hi - lo > REL_TOL * lo and iterations < 200:
         mid = 0.5 * (lo + hi)
-        if invariant_residual(state, mid) >= 0:
+        if _residual(balances, amp, mid) >= 0:
             lo = mid
         else:
             hi = mid
         iterations += 1
     d = 0.5 * (lo + hi)
-    residual = invariant_residual(state, d)
-    if abs(residual) > REL_TOL * d * max(1.0, state.amp * n**n):
+    residual = _residual(balances, amp, d)
+    if abs(residual) > REL_TOL * d * max(1.0, amp * n**n):
         raise NumericalError(f"invariant solver did not converge; residual {residual}")
-    return InvariantSolution(d, MAX_ITERATIONS + iterations, residual)
+    return d, MAX_ITERATIONS + iterations
 
 
-def _solve_balance(state: PoolState, j: int, others: Sequence[float], d: float) -> float:
-    """Balance of token j that keeps the invariant at D given the other balances."""
-    n = state.n
-    ann = state.amp * n**n
-    s_other = sum(others)
+def _dy(balances: Sequence[float], amp: float, d: float, i: int, j: int,
+        dx: float) -> float:
+    """Fee-free output of token j for selling dx > 0 of token i at D: the
+    balance of j that keeps the invariant given the other balances."""
+    n = len(balances)
+    ann = amp * n**n
+    others = [b + dx if k == i else b for k, b in enumerate(balances) if k != j]
     c = d
     for x in others:
         c = c * d / (x * n)
     c = c * d / (ann * n)
-    b = s_other + d / ann
+    b = sum(others) + d / ann
 
     y = d
     for _ in range(MAX_ITERATIONS):
         y_prev = y
         y = (y * y + c) / (2.0 * y + b - d)
         if abs(y - y_prev) < 1e-14 * d:
-            return y
-    raise NumericalError("swap output solver did not converge")
+            break
+    else:
+        raise NumericalError("swap output solver did not converge")
+    if not math.isfinite(y) or y <= 0:
+        raise ValidationError("swap would drain the pool")
+    return max(balances[j] - y, 0.0)  # float noise at dx -> 0
 
 
 def _check_pair(state: PoolState, i: int, j: int) -> None:
@@ -153,24 +172,18 @@ def _check_pair(state: PoolState, i: int, j: int) -> None:
         raise ValidationError("token index out of range")
 
 
-def _gross_dy(state: PoolState, i: int, j: int, dx: float) -> float:
-    """Fee-free output of token j for selling dx > 0 of token i."""
-    others = [b + dx if k == i else b
-              for k, b in enumerate(state.balances) if k != j]
-    y = _solve_balance(state, j, others, state.d)
-    if not math.isfinite(y) or y <= 0:
-        raise ValidationError("swap would drain the pool")
-    return max(state.balances[j] - y, 0.0)  # float noise at dx -> 0
-
-
 def get_dy(state: PoolState, i: int, j: int, dx: float) -> float:
     """Output amount of token j for selling dx of token i, after the fee."""
     _check_pair(state, i, j)
+    return _fee_dy(state, i, j, dx)
+
+
+def _fee_dy(state: PoolState, i: int, j: int, dx: float) -> float:
     if dx < 0:
         raise ValidationError("dx must be non-negative")
     if dx == 0:
         return 0.0
-    return _gross_dy(state, i, j, dx) * (1.0 - state.fee)
+    return _dy(state.balances, state.amp, state.d, i, j, dx) * (1.0 - state.fee)
 
 
 def apply_swap(state: PoolState, i: int, j: int, dx: float) -> tuple[PoolState, float]:
@@ -179,7 +192,7 @@ def apply_swap(state: PoolState, i: int, j: int, dx: float) -> tuple[PoolState, 
     balances = list(state.balances)
     balances[i] += dx
     balances[j] -= dy
-    return replace(state, balances=tuple(balances)), dy
+    return PoolState(tuple(balances), state.amp, state.fee, state.lp_supply), dy
 
 
 def virtual_price(state: PoolState) -> float:
@@ -216,7 +229,35 @@ def marginal_price(state: PoolState, i: int, j: int) -> float:
     dx = 1e-6 * x_i.
     """
     _check_pair(state, i, j)
-    h = 1e-6 * state.balances[i]
+    h = _step(state.balances[i])
+    return _slope(state.balances, state.amp, state.d, i, j, h)
+
+
+def _price_after(state: PoolState, i: int, j: int, dx: float) -> float:
+    """``marginal_price(apply_swap(state, i, j, dx)[0], i, j)``, bit for bit
+    and with the same checks, priced on the post-trade balance tuple: dy at
+    the pool's cached D, then the trial's own D, and no ``PoolState``. The
+    pair (i, j) must already be valid for the state."""
+    dy = _fee_dy(state, i, j, dx)
+    balances = list(state.balances)
+    balances[i] += dx
+    balances[j] -= dy
+    if balances[j] < 0:
+        raise ValidationError("balances must be non-negative")
+    h = _step(balances[i])
+    return _slope(balances, state.amp, _d(balances, state.amp)[0], i, j, h)
+
+
+def _step(x_i: float) -> float:
+    """Finite-difference step of the marginal price: 1e-6 * x_i, positive."""
+    h = 1e-6 * x_i
     if h <= 0:
         raise ValidationError("marginal price requires a positive balance")
-    return (_gross_dy(state, i, j, 1.5 * h) - _gross_dy(state, i, j, 0.5 * h)) / h
+    return h
+
+
+def _slope(balances: Sequence[float], amp: float, d: float, i: int, j: int,
+           h: float) -> float:
+    """Central difference (f(1.5h) - f(0.5h)) / h of the fee-free output."""
+    return (_dy(balances, amp, d, i, j, 1.5 * h)
+            - _dy(balances, amp, d, i, j, 0.5 * h)) / h

@@ -26,11 +26,19 @@ bit for bit.
 The swap functions at the end are the StableSwap output path from before D
 was cached on the pool state: every call re-solves D with ``compute_d``, and
 ``marginal_price`` differences two ``get_dy`` calls on a fee-free copy of the
-state. They share the unchanged ``compute_d`` and ``_solve_balance`` with the
-library, so they must match it bit for bit.
+state. ``compute_d`` and ``_solve_balance`` are frozen copies of the
+``PoolState``-based solvers from before the library moved to kernels over
+balance tuples, and ``arb_size`` is the simulator's arbitrage bisection from
+before its trials skipped building a ``PoolState``. The library must match
+all of them bit for bit.
+
+``PriceTable`` is the nearest-sample lookup from before the library kept
+each token's samples in Python lists: it bisects an int64 array. The
+library's ``lookup`` and ``at`` must equal it.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -48,9 +56,14 @@ from depegwatch.bocd import (
     hazard,
     log_sum_exp,
 )
-from depegwatch.core import MetricSeries, NumericalError, ValidationError
+from depegwatch.core import (
+    MetricSeries,
+    MissingPriceError,
+    NumericalError,
+    ValidationError,
+)
 from depegwatch.metrics import PinParams, _logit, _pin_from_vector
-from depegwatch.stableswap import PoolState, _solve_balance, compute_d
+from depegwatch.stableswap import InvariantSolution, PoolState
 from depegwatch.evaluation import (
     GridSpace,
     ScoreReport,
@@ -413,6 +426,85 @@ def scalar_tune(train_series: MetricSeries, labels: Sequence[int],
 # Swap outputs with D re-solved on every call (reference for PoolState.d)
 
 
+MAX_ITERATIONS = 255
+REL_TOL = 1e-10
+
+
+def invariant_residual(state: PoolState, d: float) -> float:
+    n = state.n
+    ann = state.amp * n**n
+    s = sum(state.balances)
+    prod = math.prod(state.balances)
+    return ann * s + d - ann * d - d ** (n + 1) / (n**n * prod)
+
+
+def compute_d(state: PoolState) -> InvariantSolution:
+    if any(b <= 0 for b in state.balances):
+        raise ValidationError("compute_d requires strictly positive balances")
+    n = state.n
+    s = sum(state.balances)
+    ann = state.amp * n**n
+
+    d = s
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        d_p = d
+        for x in state.balances:
+            d_p = d_p * d / (x * n)
+        d_prev = d
+        d = (ann * s + n * d_p) * d / ((ann - 1.0) * d + (n + 1) * d_p)
+        if not math.isfinite(d) or d <= 0:
+            break
+        if abs(d - d_prev) < REL_TOL * d:
+            return InvariantSolution(d, iteration, invariant_residual(state, d))
+
+    return _bisect_d(state, s)
+
+
+def _bisect_d(state: PoolState, s: float) -> InvariantSolution:
+    n = state.n
+    lo = n * math.exp(sum(math.log(x) for x in state.balances) / n)
+    hi = s
+    f_lo = invariant_residual(state, lo)
+    f_hi = invariant_residual(state, hi)
+    if f_lo < 0 or f_hi > 0:
+        raise NumericalError(
+            f"invariant solver failed; residuals at bracket: {f_lo}, {f_hi}"
+        )
+    iterations = 0
+    while hi - lo > REL_TOL * lo and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        if invariant_residual(state, mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    d = 0.5 * (lo + hi)
+    residual = invariant_residual(state, d)
+    if abs(residual) > REL_TOL * d * max(1.0, state.amp * n**n):
+        raise NumericalError(f"invariant solver did not converge; residual {residual}")
+    return InvariantSolution(d, MAX_ITERATIONS + iterations, residual)
+
+
+def _solve_balance(state: PoolState, j: int, others: Sequence[float],
+                   d: float) -> float:
+    n = state.n
+    ann = state.amp * n**n
+    s_other = sum(others)
+    c = d
+    for x in others:
+        c = c * d / (x * n)
+    c = c * d / (ann * n)
+    b = s_other + d / ann
+
+    y = d
+    for _ in range(MAX_ITERATIONS):
+        y_prev = y
+        y = (y * y + c) / (2.0 * y + b - d)
+        if abs(y - y_prev) < 1e-14 * d:
+            return y
+    raise NumericalError("swap output solver did not converge")
+
+
 def get_dy(state: PoolState, i: int, j: int, dx: float) -> float:
     if i == j:
         raise ValidationError("swap requires distinct token indices")
@@ -454,3 +546,58 @@ def marginal_price(state: PoolState, i: int, j: int) -> float:
     if h <= 0:
         raise ValidationError("marginal price requires a positive balance")
     return (get_dy(free, i, j, 1.5 * h) - get_dy(free, i, j, 0.5 * h)) / h
+
+
+def arb_size(state: PoolState, i: int, j: int, target_ratio: float) -> float:
+    lo, hi = 0.0, 0.45 * state.balances[i]
+    if marginal_price(apply_swap(state, i, j, hi)[0], i, j) > target_ratio:
+        return hi
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        trial = apply_swap(state, i, j, mid)[0]
+        if marginal_price(trial, i, j) > target_ratio:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# ---------------------------------------------------------------------------
+# Nearest-sample price lookup on int64 arrays (reference for PriceTable)
+
+
+class PriceTable:
+    def __init__(self, samples):
+        by_token = {}
+        for s in samples:
+            by_token.setdefault(s.token, []).append((s.ts, s.usd_price))
+        self._data = {}
+        for token, pairs in by_token.items():
+            pairs.sort(key=lambda p: p[0])
+            ts = np.array([p[0] for p in pairs], dtype=np.int64)
+            px = np.array([p[1] for p in pairs])
+            self._data[token] = (ts, px)
+
+    def lookup(self, token, ts, tol):
+        entry = self._data.get(token)
+        if entry is None:
+            return None
+        times, prices = entry
+        i = bisect_left(times, ts)
+        best = None
+        for j in (i - 1, i):
+            if 0 <= j < times.size:
+                dist = abs(int(times[j]) - ts)
+                if dist <= tol and (best is None or dist < best[0]):
+                    best = (dist, float(prices[j]))
+        return None if best is None else best[1]
+
+    def at(self, token, ts, tol):
+        price = self.lookup(token, ts, tol)
+        if price is None:
+            raise MissingPriceError(
+                f"no price for {token.symbol} within {tol}s of ts {ts}"
+            )
+        return price

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from depegwatch.core import (
     LiquidityEvent,
+    MissingPriceError,
     MetricSeries,
     PriceSample,
     PriceTable,
@@ -177,3 +179,33 @@ class TestPriceTable:
     def test_missing_token(self):
         table = PriceTable([])
         assert table.lookup(TokenId("A"), 0, tol=10) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=st.lists(st.tuples(st.integers(0, 6).map(lambda k: 10 * k),
+                                   st.sampled_from("AB"),
+                                   st.floats(1e-6, 1e6)), max_size=12),
+        queries=st.lists(st.tuples(st.sampled_from("ABC"),
+                                   st.integers(-3, 15).map(lambda k: 5 * k),
+                                   st.sampled_from([0, 4, 5, 10, 15, 30])),
+                         min_size=1, max_size=20),
+    )
+    def test_lookup_equals_array_oracle(self, samples, queries):
+        # Samples on a 10 s grid and queries on a 5 s grid: duplicates,
+        # equidistant ties and queries exactly at the tolerance edge are
+        # common; C is never sampled.
+        rows = [PriceSample(ts, TokenId(sym), px) for ts, sym, px in samples]
+        table, ref = PriceTable(rows), oracles.PriceTable(rows)
+
+        def at(t, token, ts, tol):
+            try:
+                return t.at(token, ts, tol)
+            except MissingPriceError as err:
+                return str(err)
+
+        for sym, ts, tol in queries:
+            token = TokenId(sym)
+            got = table.lookup(token, ts, tol)
+            assert got == ref.lookup(token, ts, tol)
+            assert type(got) is type(ref.lookup(token, ts, tol))
+            assert at(table, token, ts, tol) == at(ref, token, ts, tol)

@@ -424,12 +424,14 @@ class TestPinOracle:
     use the reference itself.
     """
 
+    @pytest.mark.slow
     @settings(max_examples=100, deadline=None)
     @given(pin_counts())
     def test_estimate_pin_equals_oracle(self, counts):
         assert (fit_or_error(estimate_pin, counts)
                 == fit_or_error(oracle_fit, counts))
 
+    @pytest.mark.slow
     @settings(max_examples=10, deadline=None)
     @given(pin_counts(min_size=3, max_size=12), st.integers(1, 2))
     def test_rolling_pin_equals_oracle_per_window(self, counts, extra):

@@ -130,6 +130,7 @@ class TestRunScenario:
         monkeypatch.setattr(simulator, "apply_swap", oracles.apply_swap)
         monkeypatch.setattr(simulator, "marginal_price",
                             oracles.marginal_price)
+        monkeypatch.setattr(simulator, "_arb_size", oracles.arb_size)
         ref = run_scenario(cfg)
         assert sum(t.trader == "arb" for t in out.stream.trades) > 10
         assert out.stream.trades == ref.stream.trades

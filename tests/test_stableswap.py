@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from depegwatch import stableswap
+from depegwatch import simulator, stableswap
 from depegwatch.core import NumericalError, TokenId, ValidationError
 from depegwatch.stableswap import (
     InvariantSolution,
@@ -226,10 +227,11 @@ class TestMarginalPrice:
 
 
 def _outcome(fn, *args):
-    """Return value of ``fn(*args)``, or the library error it raised."""
+    """Return value of ``fn(*args)``, or the library or float error it
+    raised (underflowing balances can divide by zero in the solver)."""
     try:
         return fn(*args)
-    except (ValidationError, NumericalError) as err:
+    except (ValidationError, NumericalError, ArithmeticError) as err:
         return type(err), str(err)
 
 
@@ -267,19 +269,43 @@ class TestSwapOracle:
 
     def test_one_state_solves_d_once(self, monkeypatch):
         solved = []
+        kernel = stableswap._d
 
-        def counting(state):
-            solved.append(state)
-            return compute_d(state)
+        def counting(balances, amp):
+            solved.append((balances, amp))
+            return kernel(balances, amp)
 
-        monkeypatch.setattr(stableswap, "compute_d", counting)
+        monkeypatch.setattr(stableswap, "_d", counting)
         state = PoolState((3e6, 1e6, 2e6), amp=100.0, fee=0.0004,
                           lp_supply=6e6)
         marginal_price(state, 0, 1)
         apply_swap(state, 0, 1, 1e4)
         virtual_price(state)
         leverage_chi(state)
-        assert solved == [state]
+        assert solved == [(state.balances, state.amp)]
+
+    def test_state_d_computes_no_residual(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("residual computed")
+
+        monkeypatch.setattr(stableswap, "invariant_residual", fail)
+        monkeypatch.setattr(stableswap, "_residual", fail)
+        state = PoolState((3e6, 1e6, 2e6), amp=100.0, fee=0.0004,
+                          lp_supply=6e6)
+        assert state.d == oracles.compute_d(state).d
+        assert marginal_price(state, 0, 1) == oracles.marginal_price(state, 0, 1)
+
+    @pytest.mark.parametrize("balances,amp", [
+        ((3e6, 1e6, 2e6), 100.0),
+        ((1e9, 1.0), 5000.0),
+        ((2.5, 7.0, 1e-3, 4.0), 0.5),
+    ])
+    def test_compute_d_keeps_iterations_and_residual(self, balances, amp):
+        state = PoolState(balances, amp=amp)
+        sol = compute_d(state)
+        assert sol == oracles.compute_d(state)
+        assert sol.d == state.d
+        assert sol.residual == invariant_residual(state, state.d)
 
     def test_cached_d_leaves_value_semantics(self):
         state = PoolState((3e6, 1e6), amp=100.0, fee=0.0004, lp_supply=4e6)
@@ -289,3 +315,56 @@ class TestSwapOracle:
         assert repr(state) == repr(fresh)
         moved = replace(state, balances=(2e6, 2e6))
         assert moved.d == compute_d(PoolState((2e6, 2e6), amp=100.0)).d
+
+
+class TestTrialPrice:
+    """A simulator arbitrage trial priced on the post-trade balances equals
+    swapping to a new state and pricing that, outcome for outcome."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        balances=st.lists(st.floats(1e-3, 1e12), min_size=2, max_size=4),
+        zeroed=st.one_of(st.none(), st.tuples(
+            st.integers(0, 3), st.sampled_from([0.0, 1e-310, 5e-324]))),
+        amp=st.floats(0.01, 1e4),
+        fee=st.floats(0.0, 0.01),
+        pair=st.tuples(st.integers(0, 3), st.integers(0, 2)),
+        frac=st.one_of(st.floats(-1.0, 3.0), st.just(0.0), st.just(math.inf),
+                       st.floats(1e-18, 1e-9), st.floats(1e3, 1e12)),
+    )
+    def test_equals_swap_then_marginal_price(self, balances, zeroed, amp, fee,
+                                             pair, frac):
+        if zeroed is not None:  # an empty or underflowing balance
+            balances[zeroed[0] % len(balances)] = zeroed[1]
+        state = PoolState(tuple(balances), amp=amp, fee=fee)
+        n = state.n
+        i = pair[0] % n
+        j = (i + 1 + pair[1] % (n - 1)) % n
+        dx = frac * state.balances[i]
+
+        def reference():
+            return oracles.marginal_price(
+                oracles.apply_swap(state, i, j, dx)[0], i, j)
+
+        assert (_outcome(stableswap._price_after, state, i, j, dx)
+                == _outcome(reference))
+
+    def test_one_d_per_trial(self, monkeypatch):
+        state = PoolState((6e6, 2e6, 4e6), amp=50.0, fee=0.0004)
+        state.d  # the pool's own D is cached before trials start
+        solved, trials = [], []
+        kernel, price_after = stableswap._d, stableswap._price_after
+
+        def counting_d(balances, amp):
+            solved.append(balances)
+            return kernel(balances, amp)
+
+        def counting_trial(*args):
+            trials.append(args)
+            return price_after(*args)
+
+        monkeypatch.setattr(stableswap, "_d", counting_d)
+        monkeypatch.setattr(simulator, "_price_after", counting_trial)
+        dx = simulator._arb_size(state, 1, 0, 1.002)  # the scarce token
+        assert 0 < dx < 0.45 * state.balances[1]
+        assert len(trials) > 10 and len(solved) == len(trials)
