@@ -226,24 +226,22 @@ def aggregate(
     first = bucket_end(pts[0][0], period)
     last = bucket_end(pts[-1][0], period)
     labels = np.arange(first, last + period, period, dtype=np.int64)
-    sums = np.zeros(labels.size)
-    counts = np.zeros(labels.size)
-    lasts = np.full(labels.size, np.nan)
+    # Python floats add as float64 does, without a numpy scalar per write
+    sums, counts, lasts = ([0.0] * labels.size, [0] * labels.size,
+                           [math.nan] * labels.size)
     for ts, value in pts:
         k = (bucket_end(ts, period) - first) // period
         sums[k] += value
         counts[k] += 1
         lasts[k] = value
 
-    out = np.empty(labels.size)
-    if mode == "sum":
-        out[:] = sums
-    else:
-        carried = math.nan
-        for k in range(labels.size):
-            if counts[k]:
-                carried = lasts[k] if mode == "last" else sums[k] / counts[k]
-            out[k] = carried
+    out = sums
+    if mode != "sum":
+        out, carried = [], math.nan
+        for total, count, latest in zip(sums, counts, lasts):
+            if count:
+                carried = latest if mode == "last" else total / count
+            out.append(carried)
     return MetricSeries(metric_name, pool_id, labels, out)
 
 

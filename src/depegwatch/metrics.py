@@ -9,6 +9,7 @@ markouts, shark classification, and the probability of informed trading
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -224,75 +225,101 @@ def pin_likelihood(buckets: Sequence[tuple[int, int]], params: PinParams) -> flo
     """
     if not params.is_valid():
         return -math.inf
-    return float(_pin_loglik(*_pin_counts([buckets]), [params])[0])
+    consts = _pin_consts(params.alpha, params.theta, params.eps_i,
+                         params.eps_b, params.eps_s)
+    return float(_pin_loglik(_pin_counts([buckets]), [consts])[0])
 
 
-def _pin_counts(windows: Sequence[Sequence[tuple[int, int]]]):
-    """The counts of the four Poisson terms (informed buys, sells, informed
-    sells, buys) as a (term x window x bucket) array, and their
-    ``gammaln(k + 1)``."""
+def _pin_counts(windows: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
+    """The (12 x window x bucket) count block of ``_pin_loglik``. Rows 0-2
+    hold the counts of the first Poisson term of the good-news, bad-news
+    and no-event branches (buys, sells, buys), rows 3-5 those of their
+    second term (sells, buys, sells), and rows 6-11 ``gammaln(k + 1)`` of
+    rows 0-5."""
     b = np.array([[bucket[0] for bucket in w] for w in windows], dtype=float)
     s = np.array([[bucket[1] for bucket in w] for w in windows], dtype=float)
     if np.any(b < 0) or np.any(s < 0):
         raise ValidationError("order counts must be non-negative")
-    k = np.stack([b, s, s, b])
-    return k, gammaln(k + 1)
+    k = np.stack([b, s, b, s, b, s])
+    return np.concatenate([k, gammaln(k + 1)])
 
 
-def _pin_loglik(k: np.ndarray, log_k_fact: np.ndarray,
-                params: Sequence[PinParams]) -> np.ndarray:
-    """Mixture log likelihood of column i of the (term x point x bucket)
-    counts from ``_pin_counts`` under ``params[i]``.
+# every branch of an invalid point weighs -inf, with zero rates
+_INVALID_CONSTS = (-math.inf,) * 3 + (0.0,) * 12
 
-    The branch log weights, the rates and their logs are scalars per point
-    from ``math``. A Poisson term is ``k * log(rate) - rate - log(k!)``, or
-    0 for ``k == 0`` and -inf otherwise at a zero rate. Each branch adds its
-    terms in a fixed order (the bad-news branch its sell term first), and
-    the log-sum-exp over branches is scipy 1.17's: the max, the ties ``m``
-    at the max, the sum ``s`` of ``exp`` of the rest, then
+
+def _pin_consts(alpha: float, theta: float, eps_i: float, eps_b: float,
+                eps_s: float) -> tuple[float, ...]:
+    """The 15 constants of one point of ``_pin_loglik``: the good-news,
+    bad-news and no-event log weights, the rates of the six term rows of
+    ``_pin_counts`` and their logs. An invalid point (a NaN included) gets
+    ``_INVALID_CONSTS``."""
+    if not (0 <= alpha <= 1 and 0 <= theta <= 1
+            and eps_i >= 0 and eps_b >= 0 and eps_s >= 0):
+        return _INVALID_CONSTS
+    log_alpha = math.log(alpha) if alpha > 0 else -math.inf
+    log_theta = math.log(theta) if theta > 0 else -math.inf
+    log_not_theta = math.log1p(-theta) if theta < 1 else -math.inf
+    rate_b, rate_s = eps_i + eps_b, eps_i + eps_s  # on good, bad news
+    # a zero rate's log is unused
+    log_b, log_s = math.log(eps_b or 1.0), math.log(eps_s or 1.0)
+    return (log_alpha + log_not_theta, log_alpha + log_theta,
+            math.log1p(-alpha) if alpha < 1 else -math.inf,
+            rate_b, rate_s, eps_b, eps_s, eps_b, eps_s,
+            math.log(rate_b or 1.0), math.log(rate_s or 1.0),
+            log_b, log_s, log_b, log_s)
+
+
+_FLOOR = -sys.float_info.max
+
+
+def _pin_loglik(block: np.ndarray,
+                consts: Sequence[tuple[float, ...]]) -> np.ndarray:
+    """Mixture log likelihood of column i of the (12 x point x bucket)
+    block from ``_pin_counts`` under the ``_pin_consts`` tuple
+    ``consts[i]``.
+
+    A Poisson term is ``k * log(rate) - rate - log(k!)``; only when some
+    rate is 0 do that rate's terms become 0 for ``k == 0`` and -inf
+    otherwise. A branch is its log weight plus its first term plus its
+    second, and the log-sum-exp over branches is scipy 1.17's: the max,
+    the ties ``m`` at the max, the sum ``s`` of ``exp`` of the rest, then
     ``log1p(s / m) + log(m) + max``. An invalid point, or a non-finite
     total, scores -inf.
     """
-    consts = []
-    for p in params:
-        if not p.is_valid():  # every branch weighs 0: zero rates, -inf weights
-            consts.append((-math.inf,) * 3 + (0.0,) * 8)
-            continue
-        rates = (p.eps_i + p.eps_b, p.eps_s, p.eps_i + p.eps_s, p.eps_b)
-        log_alpha = math.log(p.alpha) if p.alpha > 0 else -math.inf
-        log_not_alpha = math.log1p(-p.alpha) if p.alpha < 1 else -math.inf
-        log_theta = math.log(p.theta) if p.theta > 0 else -math.inf
-        log_not_theta = math.log1p(-p.theta) if p.theta < 1 else -math.inf
-        consts.append((log_alpha + log_not_theta, log_alpha + log_theta,
-                       log_not_alpha, *rates,  # a zero rate's log is unused
-                       *[math.log(r or 1.0) for r in rates]))
-    consts = np.array(consts).T[:, :, None]
-    weights, rates, log_rates = consts[:3], consts[3:7], consts[7:]
-    terms = np.where(rates > 0, k * log_rates - rates - log_k_fact,
-                     np.where(k == 0, 0.0, -np.inf))
-    # good news: informed buys + sells; bad news: informed sells + buys;
-    # no event: buys + sells
-    branches = weights + terms[[0, 2, 3]] + terms[[1, 3, 1]]
+    consts = np.array(consts, dtype=float).T[:, :, None]
+    weights, rates, log_rates = consts[:3], consts[3:9], consts[9:]
+    k = block[:6]
+    terms = k * log_rates - rates - block[6:]
+    if not rates.all():
+        terms = np.where(rates > 0, terms, np.where(k == 0, 0.0, -np.inf))
+    branches = weights + terms[:3] + terms[3:]
     top = branches.max(axis=0)
     at_top = branches == top
-    ties = at_top.sum(axis=0).astype(float)
-    with np.errstate(invalid="ignore"):  # -inf - -inf where all are -inf
-        rest = np.where(at_top, 0.0, np.exp(branches - top)).sum(axis=0)
+    ties = at_top.sum(axis=0, dtype=float)
+    # where every branch is -inf, all are at the top and none is summed;
+    # the floor only keeps -inf - -inf out of the subtraction
+    rest = np.where(at_top, 0.0,
+                    np.exp(branches - np.maximum(top, _FLOOR))).sum(axis=0)
     total = (np.log1p(rest / ties) + np.log(ties) + top).sum(axis=1)
     return np.where(np.isfinite(total), total, -np.inf)
 
 
 def _expit(z: float) -> float:
+    # -min(z, 700.0) and max(z, -700.0) as conditionals, NaN passing through
     if z >= 0:
-        return 1.0 / (1.0 + math.exp(-min(z, 700.0)))
-    return math.exp(max(z, -700.0)) / (1.0 + math.exp(max(z, -700.0)))
+        return 1.0 / (1.0 + math.exp(-700.0 if z > 700.0 else -z))
+    e = math.exp(-700.0 if z < -700.0 else z)
+    return e / (1.0 + e)
+
+
+def _rate(v: float) -> float:
+    return math.exp(700.0 if v > 700.0 else v)  # min(v, 700.0), NaN kept
 
 
 def _pin_from_vector(u: Sequence[float]) -> PinParams:
-    return PinParams(alpha=_expit(u[0]), theta=_expit(u[1]),
-                     eps_i=math.exp(min(u[2], 700.0)),
-                     eps_b=math.exp(min(u[3], 700.0)),
-                     eps_s=math.exp(min(u[4], 700.0)))
+    return PinParams(alpha=_expit(u[0]), theta=_expit(u[1]), eps_i=_rate(u[2]),
+                     eps_b=_rate(u[3]), eps_s=_rate(u[4]))
 
 
 def _logit(p: float) -> float:
@@ -320,13 +347,14 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
 
     Only the path ``estimate_pin`` uses is kept: no bounds, no callback,
     ``adaptive=False``. Row s of the (search x N) ``x0`` starts search s;
-    the searches share one (search x N+1 x N) simplex array with their own
-    ``fcalls`` and ``iterations`` counters. ``f(points, rows)`` scores
-    point i for search ``rows[i]``; a round makes at most three calls (the
-    reflections, the second points, the shrunk vertices) and none with zero
-    points. Every array expression and every ``maxfev`` cut is scipy's, so
-    row s of the returned ``(x, fun)`` is bit-identical to
-    ``scipy.optimize.minimize(method="Nelder-Mead")`` from ``x0[s]``.
+    the searches still running share one (search x N+1 x N) simplex array
+    with their own ``fcalls`` and ``iterations`` counters, and a search
+    leaves it when it stops. ``f(points, rows)`` scores point i for search
+    ``rows[i]``; a round makes at most three calls (the reflections, the
+    second points and, only when some search shrinks, the shrunk vertices)
+    and none with zero points. Every array expression and every ``maxfev``
+    cut is scipy's, so row s of the returned ``(x, fun)`` is bit-identical
+    to ``scipy.optimize.minimize(method="Nelder-Mead")`` from ``x0[s]``.
     """
     S, N = x0.shape
     sim = np.repeat(x0[:, None, :], N + 1, axis=1)
@@ -339,44 +367,48 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
         fsim[:, :n0] = f(sim[:, :n0].reshape(-1, N),
                          np.repeat(np.arange(S), n0)).reshape(S, n0)
 
-    def sort(rows, s, fs):
+    def sort(s, fs):
+        at = np.arange(len(fs))[:, None]
         ind = np.argsort(fs, axis=1)
-        sim[rows] = np.take_along_axis(s, ind[:, :, None], 1)
-        fsim[rows] = np.take_along_axis(fs, ind, 1)
+        return s[at, ind], fs[at, ind]
 
-    for _ in range(2):  # scipy sorts the initial simplex twice
-        sort(np.arange(S), sim, fsim)
+    # s, fs, fcalls and iterations hold the searches still running, rows.
+    # A search that stops keeps the simplex sorted at the end of its last
+    # round: scipy's final sort leaves a sorted simplex as it is.
+    s, fs = sort(*sort(sim, fsim))  # scipy sorts the initial simplex twice
+    rows = np.arange(S)
     fcalls = np.full(S, n0)
     iterations = np.ones(S, dtype=int)
-    running = np.ones(S, dtype=bool)  # False once converged: no more sorts
+    x, fun = np.empty((S, N)), np.empty(S)
     while True:
-        rows = np.flatnonzero(running & (fcalls < maxfev)
-                              & (iterations < maxiter))
-        s, fs = sim[rows], fsim[rows]
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol))
-        running[rows[done]] = False
-        rows, s, fs = rows[~done], s[~done], fs[~done]
+        done = ((fcalls >= maxfev) | (iterations >= maxiter)
+                | ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+                   & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol)))
+        if done.any():
+            x[rows[done]], fun[rows[done]] = s[done, 0], fs[done].min(axis=1)
+            go = ~done
+            rows, s, fs = rows[go], s[go], fs[go]
+            fcalls, iterations = fcalls[go], iterations[go]
         if not rows.size:
-            break
+            return x, fun
 
         # (1 + c) * xbar - c * worst: reflect c = 1, expand 2, contract
-        # outside 0.5, inside -0.5 (a - (-b) is a + b bit for bit)
+        # outside 0.5, inside -0.5 (1 * a is a, and a - (-b) is a + b, bit
+        # for bit)
         xbar = np.add.reduce(s[:, :-1], 1) / N
-        c = np.ones((rows.size, 1))
-        xr = (1 + c) * xbar - c * s[:, -1]
+        xr = 2 * xbar - s[:, -1]
         fxr = f(xr, rows)
-        fcalls[rows] += 1
+        fcalls += 1
         expand = fxr < fs[:, 0]
         accept = ~expand & (fxr < fs[:, -2])
         outside = ~expand & ~accept & (fxr < fs[:, -1])
-        c[:, 0] = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))
+        c = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
         x2 = (1 + c) * xbar - c * s[:, -1]
-        second = ~accept & (fcalls[rows] < maxfev)
+        second = ~accept & (fcalls < maxfev)
         f2 = np.full(rows.size, np.nan)
         if second.any():
             f2[second] = f(x2[second], rows[second])
-            fcalls[rows[second]] += 1
+            fcalls[second] += 1
         keep_2 = second & np.where(expand, f2 < fxr, np.where(
             outside, f2 <= fxr, f2 < fs[:, -1]))
         keep_r = accept | (second & expand & ~keep_2)
@@ -384,38 +416,40 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
         s[keep_r, -1], fs[keep_r, -1] = xr[keep_r], fxr[keep_r]
         s[keep_2, -1], fs[keep_2, -1] = x2[keep_2], f2[keep_2]
 
-        # scipy moves vertex j before calling on it, so the call past
-        # maxfev aborts with its vertex moved
-        n = np.minimum(N, maxfev - fcalls[rows])
-        moved = shrink[:, None] & (k <= n[:, None])
-        s[:, 1:] = np.where(moved[:, :, None],
-                            s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1]), s[:, 1:])
-        scored = moved & (k < n[:, None])
-        if scored.any():
-            fs[:, 1:][scored] = f(s[:, 1:][scored],
-                                  np.repeat(rows, scored.sum(axis=1)))
-            fcalls[rows] += scored.sum(axis=1)
+        if shrink.any():
+            # scipy moves vertex j before calling on it, so the call past
+            # maxfev aborts with its vertex moved
+            n = np.minimum(N, maxfev - fcalls)
+            moved = shrink[:, None] & (k <= n[:, None])
+            s[:, 1:] = np.where(moved[:, :, None],
+                                s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1]),
+                                s[:, 1:])
+            scored = moved & (k < n[:, None])
+            if scored.any():
+                fs[:, 1:][scored] = f(s[:, 1:][scored],
+                                      np.repeat(rows, scored.sum(axis=1)))
+                fcalls += scored.sum(axis=1)
         # scipy does not count a round cut short by maxfev, but such a
         # round leaves fcalls == maxfev, so the search stops either way
-        iterations[rows] += 1
-        sort(rows, s, fs)
-
-    return sim[:, 0], fsim.min(axis=1)
+        iterations += 1
+        s, fs = sort(s, fs)
 
 
 def _pin_objective(windows: Sequence[Sequence[tuple[int, int]]]):
     """``-pin_likelihood`` of many points at once, each on its own window.
 
     The returned ``f(points, owner)`` maps row i of ``points`` (a vector in
-    ``_pin_from_vector``'s space) to its parameters and scores them on
-    ``windows[owner[i]]`` in one ``_pin_loglik`` block. Every window has the
-    same length; the counts and their ``gammaln(k + 1)`` are built once.
+    ``_pin_from_vector``'s space) straight to its ``_pin_consts``, with the
+    same ``math`` calls as ``_pin_from_vector`` and no ``PinParams``, and
+    scores it on ``windows[owner[i]]`` in one ``_pin_loglik`` block. Every
+    window has the same length; the block of counts is built once.
     """
-    k, log_k_fact = _pin_counts(windows)
+    block = _pin_counts(windows)
 
     def objective(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        params = [_pin_from_vector(u) for u in points.tolist()]
-        return -_pin_loglik(k[:, owner], log_k_fact[:, owner], params)
+        consts = [_pin_consts(_expit(a), _expit(t), _rate(i), _rate(b),
+                              _rate(s)) for a, t, i, b, s in points.tolist()]
+        return -_pin_loglik(block[:, owner], consts)
 
     return objective
 

@@ -115,6 +115,9 @@ def _d(balances: Sequence[float], amp: float) -> tuple[float, int]:
 def _bisect_d(balances: Sequence[float], amp: float, s: float) -> tuple[float, int]:
     # Residual is >= 0 at n*geomean(x) and <= 0 at sum(x) (AM-GM), so the
     # unique positive root is bracketed even for extreme imbalance.
+    if math.prod(balances) == 0:  # the residual divides by it
+        raise NumericalError(
+            "invariant solver failed; the balance product underflows to 0")
     n = len(balances)
     lo = n * math.exp(sum(math.log(x) for x in balances) / n)
     hi = s

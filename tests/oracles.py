@@ -21,7 +21,9 @@ default the reference one. The array search must match it bit for bit.
 
 ``rolling_volatility`` is the per-window ``np.std`` loop that a single
 ``np.std`` over a sliding-window view replaced; the library must equal it
-bit for bit.
+bit for bit. ``aggregate`` is the bucketing loop from before the library
+summed into Python lists: it writes every point into numpy arrays, one
+scalar at a time. The library must equal it bit for bit.
 
 The swap functions at the end are the StableSwap output path from before D
 was cached on the pool state: every call re-solves D with ``compute_d``, and
@@ -61,6 +63,7 @@ from depegwatch.core import (
     MissingPriceError,
     NumericalError,
     ValidationError,
+    bucket_end,
 )
 from depegwatch.metrics import PinParams, _logit, _pin_from_vector
 from depegwatch.stableswap import InvariantSolution, PoolState
@@ -242,6 +245,42 @@ def rolling_volatility(prices: MetricSeries, window: int) -> MetricSeries:
     for k in range(out.size):
         out[k] = np.std(returns[k:k + window])
     return MetricSeries(prices.metric_name, prices.pool_id, out_ts.copy(), out)
+
+
+def aggregate(points, period, mode, *, metric_name="", pool_id=""):
+    """Bucketing into numpy arrays, one scalar write per point (reference
+    for ``core.aggregate``)."""
+    if period <= 0:
+        raise ValidationError("period must be positive")
+    if mode not in ("sum", "last", "mean"):
+        raise ValidationError(f"unknown aggregation mode {mode!r}")
+    pts = sorted(points, key=lambda p: p[0])
+    if not pts:
+        return MetricSeries(metric_name, pool_id, np.array([], dtype=np.int64),
+                            np.array([], dtype=np.float64))
+
+    first = bucket_end(pts[0][0], period)
+    last = bucket_end(pts[-1][0], period)
+    labels = np.arange(first, last + period, period, dtype=np.int64)
+    sums = np.zeros(labels.size)
+    counts = np.zeros(labels.size)
+    lasts = np.full(labels.size, np.nan)
+    for ts, value in pts:
+        k = (bucket_end(ts, period) - first) // period
+        sums[k] += value
+        counts[k] += 1
+        lasts[k] = value
+
+    out = np.empty(labels.size)
+    if mode == "sum":
+        out[:] = sums
+    else:
+        carried = math.nan
+        for k in range(labels.size):
+            if counts[k]:
+                carried = lasts[k] if mode == "last" else sums[k] / counts[k]
+            out[k] = carried
+    return MetricSeries(metric_name, pool_id, labels, out)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,35 @@ class TestAggregate:
         twice = aggregate(once.points, 3600, mode)
         assert twice.points == once.points
 
+    @given(st.sampled_from([1, 60, 3600]).flatmap(lambda period: st.tuples(
+               st.just(period),
+               st.lists(st.tuples(
+                   st.integers(0, 6 * period) | st.sampled_from(
+                       [0, period, period + 1, 5 * period, -1]),
+                   st.floats(allow_nan=False, allow_infinity=False)
+                   | st.integers(-10**6, 10**6)),
+                   max_size=40))),
+           st.sampled_from(["sum", "last", "mean"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_array_oracle(self, period_points, mode):
+        # ties, gaps, unsorted and empty input, int values, sums that
+        # overflow to inf or nan, and a negative timestamp
+        period, points = period_points
+
+        def outcome(fn):
+            try:
+                out = fn(points, period, mode, metric_name="m", pool_id="p")
+            except ValidationError as err:
+                return str(err)
+            return (out.metric_name, out.pool_id, out.timestamps.dtype,
+                    out.timestamps.tolist(), out.values.dtype,
+                    out.values.tobytes())
+
+        # numpy scalars warn where Python floats overflow silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = outcome(oracles.aggregate)
+        assert outcome(aggregate) == expected
+
 
 class TestLogDiff:
     def test_e_ratio(self):

@@ -484,6 +484,42 @@ class TestPinOracle:
         assert f.tolist() == expected
         assert [-pin_likelihood(counts, p) for p in params] == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(pin_counts(max_size=12),
+           st.lists(st.lists(st.floats(-5, 5), min_size=5, max_size=5),
+                    min_size=1, max_size=8),
+           st.sampled_from([3, 4]))
+    def test_objective_equals_scalar_likelihood_in_fit_range(self, counts,
+                                                             points, zeroed):
+        # in [-5, 5]^5 every rate is positive and finite; the same points
+        # with eps_b or eps_s underflowed to 0 take the zero-rate path
+        one_zero = [u[:zeroed] + [-800.0] + u[zeroed + 1:] for u in points]
+        for rows in (points, points + one_zero):
+            params = [metrics._pin_from_vector(u) for u in rows]
+            expected = [-oracles.pin_likelihood(counts, p) for p in params]
+            f = metrics._pin_objective([counts])(
+                np.array(rows), np.zeros(len(rows), dtype=int))
+            assert f.tolist() == expected
+
+    def test_search_builds_no_params_per_point(self, monkeypatch):
+        series = [[((k + 1) * 86400, b, s) for k, (b, s) in enumerate(
+                       generate_pin_buckets(n, 0.4, 0.3, 12, 8, 8, seed=n))]
+                  for n in (6, 5)]
+        expected = [[repr(v) for v in out.values.tolist()]
+                    for out in rolling_pin(series, window=4)]
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return PinParams(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "PinParams", counting)
+        together = rolling_pin(series, window=4)
+        searches = 8 * sum(len(out) for out in together)
+        assert searches == 40 and len(built) <= searches
+        assert [[repr(v) for v in out.values.tolist()]
+                for out in together] == expected
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
                st.lists(st.sampled_from([0.0, -2.5, 0.7, 3.0]), min_size=n,

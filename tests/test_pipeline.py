@@ -474,6 +474,16 @@ class TestExitCodes:
         assert main(argv) == 2
         assert f"error: {bad}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pool", [
+        {**_SCENARIO_DOC["pool"], "balances": [1e-301, 1e-301]},
+    ], ids=["scenario-underflowing-balances"])
+    def test_numerical_failure_is_three(self, tmp_path, pool, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({**_SCENARIO_DOC, "pool": pool}))
+        assert main(["simulate", "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+        assert "numerical failure: " in capsys.readouterr().err
+
 
 class TestScoreAndReport:
     def test_score_columns_exact(self, tmp_path):
