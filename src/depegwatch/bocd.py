@@ -8,7 +8,10 @@ the thousands underflow linear space.
 
 One kernel advances a block of detectors that share hazard, pruning and
 predictive scale but not their prior: the online :func:`step` is a batch of
-one, and :func:`detect_batch` runs a whole prior grid at once.
+one, and :func:`detect_batch` runs a whole prior grid at once. The
+Student-t normaliser comes from :func:`depegwatch.core.gammaln`, a port of
+the cephes routine behind ``scipy.special.gammaln`` that equals it bit for
+bit; scipy is only a test dependency.
 
 Two predictive-scale conventions are supported:
 
@@ -26,9 +29,8 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import MetricSeries, Timestamp, ValidationError
+from .core import MetricSeries, Timestamp, ValidationError, gammaln
 
 PREDICTIVE_SCALES = ("paper", "posterior_predictive")
 
@@ -143,13 +145,22 @@ def _run_tables(alpha0: np.ndarray, kappa0: np.ndarray, n: int) -> _Tables:
         steps[:, 0] = start
         return np.add.accumulate(steps, axis=1)
 
-    alpha = grown(alpha0, 0.5, n)
+    alpha_all = grown(alpha0, 0.5, n + 1)
+    alpha = alpha_all[:, :n]
     kappa_all = grown(kappa0, 1.0, n + 1)
     kappa = kappa_all[:, :n]
     nu = 2.0 * alpha
-    half_nu1 = (nu + 1.0) / 2.0
+    # (nu_r + 1) / 2 is alpha_{r+1} and nu_r / 2 is alpha_r, bit for bit
+    # (doubling and halving are exact), so the normaliser is the difference
+    # of neighbours in one gammaln row per distinct prior alpha
+    _, first, inverse = np.unique(alpha0, return_index=True,
+                                  return_inverse=True)
+    rows = alpha_all[first]
+    log_gamma = np.fromiter(map(gammaln, rows.ravel().tolist()), float,
+                            rows.size).reshape(rows.shape)
     return _Tables(kappa, kappa_all[:, 1:], alpha * kappa, nu, nu * math.pi,
-                   half_nu1, gammaln(half_nu1) - gammaln(nu / 2.0))
+                   alpha_all[:, 1:],
+                   (log_gamma[:, 1:] - log_gamma[:, :-1])[inverse])
 
 
 @lru_cache(maxsize=32)

@@ -1,5 +1,6 @@
 """Shared domain types for pool event streams plus the series transforms
-(bucketing, log differences, standardization) applied before detection.
+(bucketing, log differences, standardization) applied before detection, and
+the log Gamma function that the detector and the PIN fit share.
 
 All types are immutable values and all transforms are pure functions, so
 everything here is safe to use from any number of threads.
@@ -280,6 +281,64 @@ def standardize(series: MetricSeries, ref_mean: float, ref_std: float) -> Metric
     return MetricSeries(series.metric_name, series.pool_id,
                         series.timestamps.copy(),
                         (series.values - ref_mean) / ref_std)
+
+
+# cephes lgam's coefficients: Stirling's series (A) and the rational
+# approximation of log Gamma on [2, 3] (B over C, C's leading 1 implied)
+_A0, _A1, _A2, _A3, _A4 = (
+    8.11614167470508450300E-4, -5.95061904284301438324E-4,
+    7.93650340457716943945E-4, -2.77777777730099687205E-3,
+    8.33333333333331927722E-2)
+_B0, _B1, _B2, _B3, _B4, _B5 = (
+    -1.37825152569120859100E3, -3.88016315134637840924E4,
+    -3.31612992738871184744E5, -1.16237097492762307383E6,
+    -1.72173700820839662146E6, -8.53555664245765465627E5)
+_C0, _C1, _C2, _C3, _C4, _C5 = (
+    -3.51815701436523470549E2, -1.70642106651881159223E4,
+    -2.20528590553854454839E5, -1.13933444367982507207E6,
+    -2.53252307177582951285E6, -2.01889141433532773231E6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+
+
+def gammaln(x: float) -> float:
+    """log Gamma(x) for x > 0, bit for bit ``scipy.special.gammaln``.
+
+    A port of cephes ``lgam``, the routine behind scipy's, operation by
+    operation and with the same libm ``log``: below 13 it steps x into
+    [2, 3) by the recurrence Gamma(x + 1) = x Gamma(x) and adds the rational
+    approximation there; from 13 it sums Stirling's series, shorter from
+    1000 and cut to its leading terms past 1e8. +inf and NaN pass through.
+    """
+    if not math.isfinite(x):
+        return x
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * (
+            ((((_B0 * x + _B1) * x + _B2) * x + _B3) * x + _B4) * x + _B5) / (
+            (((((x + _C0) * x + _C1) * x + _C2) * x + _C3) * x + _C4) * x
+            + _C5)
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + ((((_A0 * p + _A1) * p + _A2) * p + _A3) * p + _A4) / x
 
 
 class PriceTable:

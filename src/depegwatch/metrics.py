@@ -3,7 +3,9 @@
 Covers pool-composition measures (Shannon entropy, Gini coefficient), flow
 measures (net swap flow, net LP flow, shark flow), price volatility, trade
 markouts, shark classification, and the probability of informed trading
-(PIN) fitted by maximum likelihood.
+(PIN) fitted by maximum likelihood. PIN's ``log k!`` comes from
+:func:`depegwatch.core.gammaln`, which equals ``scipy.special.gammaln`` bit
+for bit; scipy is only a test dependency.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln
 
 from .core import (
     MetricSeries,
@@ -28,6 +30,7 @@ from .core import (
     LiquidityEvent,
     ValidationError,
     aggregate,
+    gammaln,
 )
 
 
@@ -230,6 +233,11 @@ def pin_likelihood(buckets: Sequence[tuple[int, int]], params: PinParams) -> flo
     return float(_pin_loglik(_pin_counts([buckets]), [consts])[0])
 
 
+@lru_cache(maxsize=4096)
+def _log_factorial(k: float) -> float:
+    return gammaln(k + 1.0)
+
+
 def _pin_counts(windows: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
     """The (12 x window x bucket) count block of ``_pin_loglik``. Rows 0-2
     hold the counts of the first Poisson term of the good-news, bad-news
@@ -240,8 +248,11 @@ def _pin_counts(windows: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
     s = np.array([[bucket[1] for bucket in w] for w in windows], dtype=float)
     if np.any(b < 0) or np.any(s < 0):
         raise ValidationError("order counts must be non-negative")
-    k = np.stack([b, s, b, s, b, s])
-    return np.concatenate([k, gammaln(k + 1)])
+    log_b, log_s = (np.fromiter(map(_log_factorial, k.ravel().tolist()),
+                                float, k.size).reshape(k.shape)
+                    for k in (b, s))
+    return np.stack([b, s, b, s, b, s,
+                     log_b, log_s, log_b, log_s, log_b, log_s])
 
 
 # every branch of an invalid point weighs -inf, with zero rates

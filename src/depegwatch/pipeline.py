@@ -30,7 +30,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from importlib import metadata
+from functools import cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -53,11 +53,6 @@ from .core import (
     log_diff,
 )
 from .simulator import DepegEvent, ScenarioConfig, ScenarioOutput
-
-try:
-    TOOL_VERSION = metadata.version("depegwatch")
-except metadata.PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "0.0.0-dev"
 
 TRADES_HEADER = ["ts", "pool_id", "trader", "token_in", "amount_in",
                  "token_out", "amount_out"]
@@ -425,8 +420,33 @@ def write_scenario(out_dir: str, output: ScenarioOutput) -> list[str]:
     return written
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _has_type(value, kind: type) -> bool:
+    """Whether a JSON value fits a field of type ``kind``: a float field
+    takes an integer too, and no number field takes a boolean."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def load_scenario_config(path: str) -> ScenarioConfig:
     doc = _load_json(path)
+    # seed, duration and step, then the plain fields with defaults
+    kinds = {"seed": int, "duration": int, "step": int}
+    kinds.update((f.name, type(f.default))
+                 for f in dataclasses.fields(ScenarioConfig)
+                 if type(f.default) in _KINDS)
+    for name, kind in kinds.items():
+        if name in doc and not _has_type(doc[name], kind):
+            raise ValidationError(
+                f"{path}: field {name} must be {_KINDS[kind]}")
+    prices = doc.get("peg_prices", {})
+    if not (isinstance(prices, dict)
+            and all(_has_type(p, float) for p in prices.values())):
+        raise ValidationError(
+            f"{path}: field peg_prices must be an object of numbers")
     try:
         tokens = tuple(TokenId(t["symbol"], t.get("address"))
                        for t in doc["tokens"])
@@ -594,10 +614,21 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+@cache
+def _tool_version() -> str:
+    # importlib.metadata takes tens of milliseconds to import, so only a
+    # command that writes a manifest pays for it
+    from importlib import metadata
+    try:
+        return metadata.version("depegwatch")
+    except metadata.PackageNotFoundError:  # running from a source tree
+        return "0.0.0-dev"
+
+
 def write_manifest(out_dir: str, command: str, inputs: Sequence[str],
                    outputs: Sequence[str], config: dict | None = None) -> str:
     manifest = {
-        "tool": f"depegwatch {TOOL_VERSION}",
+        "tool": f"depegwatch {_tool_version()}",
         "command": command,
         "config": config or {},
         "inputs": {os.path.basename(p): sha256_file(p) for p in sorted(inputs)},

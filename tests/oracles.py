@@ -11,6 +11,11 @@ the batched kernel in ``depegwatch.bocd`` replaced. It keeps the Normal-Gamma
 normaliser on every step, and serves as the reference for the batched
 ``tune`` and for version-1 state documents.
 
+``run_tables`` and ``pin_counts`` are ``bocd._run_tables`` and
+``metrics._pin_counts`` from before the library computed log Gamma with its
+own port of cephes ``lgam``: they call ``scipy.special.gammaln`` on every
+entry, and the library must equal them bit for bit.
+
 ``pin_likelihood`` below is the PIN mixture likelihood from before it became
 the one-point case of the batched block: one branch array per mixture
 component, combined by ``scipy.special.logsumexp``. The library's block and
@@ -152,6 +157,17 @@ def generate_pin_buckets(n, alpha, theta, eps_i, eps_b, eps_s, seed):
             b, s = rng.poisson(eps_b), rng.poisson(eps_s)
         out.append((int(b), int(s)))
     return out
+
+
+def pin_counts(windows) -> np.ndarray:
+    """The (12 x window x bucket) count block, with ``gammaln(k + 1)`` of
+    all six count rows (reference for ``metrics._pin_counts``)."""
+    b = np.array([[bucket[0] for bucket in w] for w in windows], dtype=float)
+    s = np.array([[bucket[1] for bucket in w] for w in windows], dtype=float)
+    if np.any(b < 0) or np.any(s < 0):
+        raise ValidationError("order counts must be non-negative")
+    k = np.stack([b, s, b, s, b, s])
+    return np.concatenate([k, gammaln(k + 1)])
 
 
 def _poisson_logpmf(k: np.ndarray, rate: float) -> np.ndarray:
@@ -316,6 +332,23 @@ def _t_logpdf_arrays(x, mu, alpha, beta, kappa, scale_mode):
     return (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
             - 0.5 * np.log(nu * math.pi * sigma_sq)
             - (nu + 1.0) / 2.0 * np.log1p(z_sq))
+
+
+def run_tables(alpha0: np.ndarray, kappa0: np.ndarray, n: int):
+    """The seven (prior x run length) tables of ``bocd._run_tables``, the
+    Student-t normaliser from ``gammaln`` on every entry."""
+    def grown(start, inc, size):
+        steps = np.full((start.size, size), inc)
+        steps[:, 0] = start
+        return np.add.accumulate(steps, axis=1)
+
+    alpha = grown(alpha0, 0.5, n)
+    kappa_all = grown(kappa0, 1.0, n + 1)
+    kappa = kappa_all[:, :n]
+    nu = 2.0 * alpha
+    half_nu1 = (nu + 1.0) / 2.0
+    return (kappa, kappa_all[:, 1:], alpha * kappa, nu, nu * math.pi,
+            half_nu1, gammaln(half_nu1) - gammaln(nu / 2.0))
 
 
 def student_t_logpdf(x: float, p: NGParams,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from depegwatch.bocd import (
@@ -10,6 +12,7 @@ from depegwatch.bocd import (
     DetectorConfig,
     NGParams,
     RunLengthState,
+    _run_tables,
     detect_batch,
     detect_series,
     hazard,
@@ -20,9 +23,11 @@ from depegwatch.bocd import (
     step,
 )
 from depegwatch.core import MetricSeries, ValidationError
+from depegwatch.evaluation import grid_configs
 from oracles import (
     brute_force_run_length_posteriors,
     ng_update,
+    run_tables,
     scalar_detect_series,
     scalar_state_v1,
     scipy_t_logpdf,
@@ -355,6 +360,37 @@ class TestDetectBatch:
         with pytest.raises(ValidationError, match="step 2"):
             detect_batch(make_series([0.1, math.inf, 0.2]),
                          [NGParams(0.0, 1.0, 1.0, 1.0)], DetectorConfig())
+
+
+class TestRunTables:
+    """All seven tables against the scipy ``gammaln`` oracle, bit for bit."""
+
+    @staticmethod
+    def assert_tables_equal(alpha0, kappa0, n):
+        alpha0, kappa0 = np.asarray(alpha0), np.asarray(kappa0)
+        got = _run_tables(alpha0, kappa0, n)
+        for name, table, ref in zip(got._fields, got,
+                                    run_tables(alpha0, kappa0, n)):
+            assert table.shape == (alpha0.size, n), name
+            np.testing.assert_array_equal(table.view(np.int64),
+                                          ref.view(np.int64), err_msg=name)
+
+    def test_full_grid(self):
+        # every prior of the tune grid at 512 run lengths, then each
+        # distinct (alpha, kappa) at the 5001 of max_run_length's default
+        priors = grid_configs()
+        self.assert_tables_equal([p.alpha for p in priors],
+                                 [p.kappa for p in priors], 512)
+        pairs = sorted({(p.alpha, p.kappa) for p in priors})
+        self.assert_tables_equal(*zip(*pairs), 5001)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=st.lists(st.floats(5e-324, 1e10), min_size=1, max_size=4),
+           kappa=st.floats(1e-6, 1e6), n=st.integers(1, 300))
+    def test_odd_alphas(self, alphas, kappa, n):
+        # repeated alphas share one gammaln row
+        alpha0 = alphas + alphas[::-1]
+        self.assert_tables_equal(alpha0, [kappa] * len(alpha0), n)
 
 
 class TestLogSumExp:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import oracles
 from depegwatch.core import (
@@ -17,6 +18,7 @@ from depegwatch.core import (
     ValidationError,
     aggregate,
     fit_stats,
+    gammaln,
     log_diff,
     standardize,
 )
@@ -238,3 +240,45 @@ class TestPriceTable:
             assert got == ref.lookup(token, ts, tol)
             assert type(got) is type(ref.lookup(token, ts, tol))
             assert at(table, token, ts, tol) == at(ref, token, ts, tol)
+
+
+class TestGammaln:
+    """The port of cephes ``lgam`` against ``scipy.special.gammaln``, the
+    library's log Gamma before the port, compared as int64 bit patterns."""
+
+    @staticmethod
+    def assert_bitwise(xs):
+        xs = np.asarray(xs, dtype=float).ravel()
+        got = np.array([gammaln(x) for x in xs.tolist()])
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      special.gammaln(xs).view(np.int64))
+
+    def test_integers_exhaustive(self):
+        # log k! of every PIN count up to 2e5
+        self.assert_bitwise(np.arange(1, 200_002))
+
+    def test_grown_alphas(self):
+        # every alpha of the tune grid's run-length tables
+        self.assert_bitwise([np.add.accumulate(np.r_[10.0 ** e,
+                                                     np.full(5001, 0.5)])
+                             for e in range(-5, 5)])
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(min_value=5e-324, max_value=1e308))
+    def test_positive_floats(self, x):
+        self.assert_bitwise([x])
+
+    @pytest.mark.parametrize("edge", [1.0, 2.0, 3.0, 13.0, 1000.0, 1e8,
+                                      2.556348e305])
+    def test_branch_edges(self, edge):
+        # just below 1, x + 1 rounds to 2, where the early return skips a
+        # rational term that is nonzero there (at integers it is 0)
+        below = above = edge
+        xs = [edge]
+        for _ in range(4):
+            below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+            xs += [below, above]
+        self.assert_bitwise(xs)
+
+    def test_inf_and_nan_pass_through(self):
+        self.assert_bitwise([math.inf, math.nan])

@@ -459,6 +459,13 @@ class TestPinOracle:
         assert (fit_or_error(estimate_pin, counts)
                 == fit_or_error(oracles.estimate_pin, counts))
 
+    def test_count_block_equals_oracle(self):
+        # every count 0..1e4 on both sides, in two windows of equal length
+        k = list(range(10_001))
+        windows = [list(zip(k, k[::-1])), list(zip(k[::-1], k))]
+        got, ref = metrics._pin_counts(windows), oracles.pin_counts(windows)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
     def test_negative_counts_raise_before_any_search(self, monkeypatch):
         started = []
         monkeypatch.setattr(metrics, "_nelder_mead",
@@ -563,18 +570,18 @@ class TestOrderCountBuckets:
 
 
 def test_package_never_imports_scipy_optimize():
-    # the Nelder-Mead search is the package's own; importing scipy.optimize
-    # would cost every command its load time and resident memory
+    # the Nelder-Mead search and log Gamma are the package's own; importing
+    # any of scipy would cost every command its load time and resident memory
     probe = (
         "import importlib, pkgutil, sys; sys.path.insert(0, sys.argv[1]); "
         "import depegwatch; "
         "[importlib.import_module(m.name) for m in "
         "pkgutil.iter_modules(depegwatch.__path__, 'depegwatch.')]; "
         "print(sorted(m for m in sys.modules if m.startswith('depegwatch'))); "
-        "print('scipy.optimize' in sys.modules)")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(metrics.__file__))
     out = subprocess.run([sys.executable, "-c", probe, src], check=True,
                          capture_output=True, text=True,
                          timeout=60).stdout.splitlines()
     assert "'depegwatch.metrics'" in out[0] and "'depegwatch.cli'" in out[0]
-    assert out[1] == "False"
+    assert out[1] == "[]"

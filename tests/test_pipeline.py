@@ -441,13 +441,22 @@ class TestExitCodes:
         ("detect", json.dumps({"alpha": "x"})),
         ("detect", json.dumps({"standardize": {"mean": "a", "std": 1}})),
         ("score", json.dumps({"alpha": "x"})),
+        ("simulate", json.dumps({**_SCENARIO_DOC, "seed": "x"})),
+        ("simulate", json.dumps({**_SCENARIO_DOC, "noise_vol": "x"})),
+        ("simulate", json.dumps({**_SCENARIO_DOC, "n_noise_traders": "2"})),
+        ("simulate", json.dumps({**_SCENARIO_DOC, "lp_event_prob": "0.1"})),
+        ("simulate", json.dumps({**_SCENARIO_DOC, "peg_prices": [1.0, 1.0]})),
+        ("simulate", json.dumps({**_SCENARIO_DOC, "arb_threshold": None})),
     ], ids=["scenario-missing-field", "scenario-truncated", "scenario-list",
             "registry-missing-amp", "registry-truncated", "params-truncated",
             "state-truncated", "score-params-truncated",
             "manifest-truncated", "state-incomplete", "state-t-type",
             "state-config-type", "registry-amp-type", "scenario-amp-type",
             "params-standardize-incomplete", "params-alpha-type",
-            "params-mean-type", "score-params-alpha-type"])
+            "params-mean-type", "score-params-alpha-type",
+            "scenario-seed-type", "scenario-noise-vol-type",
+            "scenario-noise-traders-type", "scenario-lp-event-prob-type",
+            "scenario-peg-prices-type", "scenario-arb-threshold-null"])
     def test_validation_error_is_two(self, tmp_path, command, text, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
