@@ -24,13 +24,14 @@ Two predictive-scale conventions are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .core import MetricSeries, Timestamp, ValidationError, gammaln
+from .core import MetricSeries, Timestamp, ValidationError, from_json, gammaln
 
 PREDICTIVE_SCALES = ("paper", "posterior_predictive")
 
@@ -93,10 +94,10 @@ class RunLengthState:
     """
 
     t: int
-    runs: np.ndarray
-    log_joint: np.ndarray
-    mu: np.ndarray
-    beta: np.ndarray
+    runs: NDArray[np.int64]
+    log_joint: NDArray[np.float64]
+    mu: NDArray[np.float64]
+    beta: NDArray[np.float64]
     prev_gamma: int
     map_probability: float = 1.0  # posterior of the MAP run length at step t
 
@@ -396,35 +397,26 @@ def state_to_dict(state: RunLengthState, cfg: DetectorConfig) -> dict:
     }
 
 
-def state_from_dict(doc: dict) -> tuple[RunLengthState, DetectorConfig]:
-    """Read a version-2 or version-1 snapshot. Version 1's alpha and kappa
-    arrays equal the run-length tables, so they are not read."""
-    if doc.get("version") not in (1, STATE_VERSION):
-        raise ValidationError(
-            f"unsupported state version {doc.get('version')!r}; "
-            f"expected 1 or {STATE_VERSION}")
-    try:
-        cfg_doc = doc["config"]
-        prior = cfg_doc["prior"]
-        cfg = DetectorConfig(
-            hazard_lambda=cfg_doc["hazard_lambda"],
-            prior=NGParams(prior["mu"], prior["alpha"], prior["beta"],
-                           prior["kappa"]),
-            prob_floor=cfg_doc["prob_floor"],
-            max_run_length=cfg_doc["max_run_length"],
-            predictive_scale=cfg_doc["predictive_scale"],
-        )
-        state = RunLengthState(
-            t=int(doc["t"]),
-            runs=np.array(doc["runs"], dtype=np.int64),
-            log_joint=np.array(doc["log_joint"], dtype=float),
-            mu=np.array(doc["mu"], dtype=float),
-            beta=np.array(doc["beta"], dtype=float),
-            prev_gamma=int(doc["prev_gamma"]),
-            map_probability=float(doc.get("map_probability", 1.0)),
-        )
-    except KeyError as err:
-        raise ValidationError(f"missing state field {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ValidationError(str(err)) from None
+def state_from_dict(doc: dict, source: str = "state"
+                    ) -> tuple[RunLengthState, DetectorConfig]:
+    """Read a version-2 or version-1 snapshot (version 1's alpha and kappa
+    arrays equal the run-length tables, so they are not read); errors name
+    ``source``. The config must be complete: a default would resume a
+    different detector."""
+    version = from_json(int, doc.get("version"), source, "version")
+    if version not in (1, STATE_VERSION):
+        raise ValidationError(f"{source}: unsupported state version "
+                              f"{version}; expected 1 or {STATE_VERSION}")
+    config = doc.get("config", {})
+    cfg = from_json(DetectorConfig, config, source, "config")
+    for f in fields(DetectorConfig):
+        if f.name not in config:
+            raise ValidationError(f"{source}: missing field config.{f.name}")
+    state = from_json(RunLengthState, doc, source)
+    runs = state.runs
+    if not (runs.size == state.log_joint.size == state.mu.size
+            == state.beta.size >= 1 and 0 <= runs[0] <= runs[-1]
+            <= min(state.t, cfg.max_run_length) and np.all(np.diff(runs) > 0)):
+        raise ValidationError(f"{source}: misaligned arrays, or runs outside "
+                              "[0, min(t, max_run_length)] or not rising")
     return state, cfg

@@ -16,13 +16,13 @@ import click
 
 from . import bocd, evaluation, metrics, pipeline
 from .core import (
-    MetricSeries,
     MissingPriceError,
     NumericalError,
     PriceTable,
     TokenId,
     ValidationError,
     fit_stats,
+    from_json,
     standardize,
 )
 from .simulator import run_scenario
@@ -139,34 +139,30 @@ def label(ctx: click.Context, data_dir: str, registry_path: str | None,
     click.echo(f"{len(labels)} depeg labels -> {out_path}")
 
 
-def _load_params(path: str | None) -> dict:
-    """The tuned-parameter document at ``path`` ({} without one). A prior
-    or hazard value that is not a number, or a ``standardize`` block without
-    numeric ``mean`` and ``std``, fails as ``path: ...``."""
-    if not path:
-        return {}
-    doc = pipeline._load_json(path)
-    numbers = [(key, doc[key]) for key in
-               ("mu", "alpha", "beta", "kappa", "hazard_lambda") if key in doc]
-    if "standardize" in doc:
-        stats = doc["standardize"]
-        if not isinstance(stats, dict) or not {"mean", "std"} <= stats.keys():
-            raise ValidationError(f"{path}: standardize needs mean and std")
-        numbers += [("standardize.mean", stats["mean"]),
-                    ("standardize.std", stats["std"])]
-    for key, value in numbers:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{path}: {key} must be a number, "
-                                  f"got {value!r}")
-    return doc
+@dataclasses.dataclass(frozen=True)
+class SeriesStats:
+    mean: float
+    std: float
 
 
-def _prepare_series(series: MetricSeries, transform: str,
-                    stats: tuple[float, float] | None) -> MetricSeries:
-    series = pipeline.transform_series(series, transform)
-    if stats is not None:
-        series = standardize(series, stats[0], stats[1])
-    return series
+@dataclasses.dataclass(frozen=True)
+class TunedParams:
+    """A ``--params`` document as ``tune`` writes it; an absent field is
+    None, so ``score`` can leave its prior column empty."""
+
+    transform: str | None = None
+    standardize: SeriesStats | None = None
+    mu: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
+    kappa: float | None = None
+    hazard_lambda: float | None = None
+    predictive_scale: str | None = None
+
+
+def _given(*values):
+    """The first value that is not None: flag, params document, default."""
+    return next(v for v in values if v is not None)
 
 
 @cli.command()
@@ -194,38 +190,34 @@ def detect(ctx: click.Context, metric_file: str, params_path: str | None,
            save_state_path: str | None, out_override: str | None) -> None:
     """Detect changepoints on a metric file; resumable via saved state."""
     out_dir = _out_dir(ctx, out_override)
-    doc = _load_params(params_path)
-
-    transform = transform or doc.get("transform", "none")
-    stats = None
-    if "standardize" in doc:
-        stats = (doc["standardize"]["mean"], doc["standardize"]["std"])
+    params = (from_json(TunedParams, pipeline._load_json(params_path),
+                        params_path) if params_path else TunedParams())
+    transform = _given(transform, params.transform, "none")
 
     state = None
     if resume:
         if not state_path or not os.path.exists(state_path):
             raise ValidationError(
                 f"--resume requires an existing state file, got {state_path!r}")
-        state_doc = pipeline._load_json(state_path)
-        try:
-            state, cfg = bocd.state_from_dict(state_doc)
-        except ValidationError as err:
-            raise ValidationError(f"{state_path}: {err}") from None
+        state, cfg = bocd.state_from_dict(pipeline._load_json(state_path),
+                                          state_path)
     else:
         prior = bocd.NGParams(
-            mu=doc.get("mu", 0.0),
-            alpha=alpha if alpha is not None else doc.get("alpha", 1.0),
-            beta=beta if beta is not None else doc.get("beta", 1.0),
-            kappa=kappa if kappa is not None else doc.get("kappa", 1.0))
+            mu=_given(params.mu, 0.0),
+            alpha=_given(alpha, params.alpha, 1.0),
+            beta=_given(beta, params.beta, 1.0),
+            kappa=_given(kappa, params.kappa, 1.0))
         cfg = bocd.DetectorConfig(
-            hazard_lambda=(hazard_lambda if hazard_lambda is not None
-                           else doc.get("hazard_lambda", 100.0)),
+            hazard_lambda=_given(hazard_lambda, params.hazard_lambda, 100.0),
             prior=prior,
-            predictive_scale=(predictive_scale
-                              or doc.get("predictive_scale", "paper")))
+            predictive_scale=_given(predictive_scale,
+                                    params.predictive_scale, "paper"))
 
-    series = pipeline.read_metric_series(metric_file)
-    series = _prepare_series(series, transform, stats)
+    series = pipeline.transform_series(
+        pipeline.read_metric_series(metric_file), transform)
+    if params.standardize is not None:
+        series = standardize(series, params.standardize.mean,
+                             params.standardize.std)
     changepoints, trace, final_state = bocd.detect_series(series, cfg, state)
 
     cp_path = os.path.join(out_dir, "changepoints.csv")
@@ -344,12 +336,12 @@ def score(labels_path: str, cp_path: str, pool: str, metric_name: str,
     predictions = pipeline.read_changepoints(cp_path)
     scoring = evaluation.ScoringConfig(margin_m=margin, f_beta=f_beta)
     report = evaluation.lf_score(label_ts, predictions, scoring)
-    doc = _load_params(params_path)
+    params = (from_json(TunedParams, pipeline._load_json(params_path),
+                        params_path) if params_path else TunedParams())
     row = (pool, metric_name, report.lf_score, report.precision,
            report.weighted_recall,
-           pipeline.fmt(doc["alpha"]) if "alpha" in doc else "",
-           pipeline.fmt(doc["beta"]) if "beta" in doc else "",
-           pipeline.fmt(doc["kappa"]) if "kappa" in doc else "")
+           *("" if value is None else pipeline.fmt(value)
+             for value in (params.alpha, params.beta, params.kappa)))
     pipeline.write_csv(out_path, pipeline.SCORES_HEADER, [row], append=append)
     click.echo(f"F={report.lf_score:.5f} P={report.precision:.5f} "
                f"R={report.weighted_recall:.5f} -> {out_path}")

@@ -1,6 +1,7 @@
 """Shared domain types for pool event streams plus the series transforms
-(bucketing, log differences, standardization) applied before detection, and
-the log Gamma function that the detector and the PIN fit share.
+(bucketing, log differences, standardization) applied before detection,
+the log Gamma function that the detector and the PIN fit share, and the
+typed reader of every JSON document.
 
 All types are immutable values and all transforms are pure functions, so
 everything here is safe to use from any number of threads.
@@ -8,10 +9,15 @@ everything here is safe to use from any number of threads.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
+import types
 from bisect import bisect_left
+from collections import abc
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cache
+from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -391,3 +397,70 @@ class PriceTable:
             raise MissingPriceError(f"no samples for token {token.symbol}")
         return aggregate(zip(*entry), period, "last",
                          metric_name="price", pool_id=token.symbol)
+
+
+_SCALARS = {int: "an integer", str: "a string"}
+_hints = cache(get_type_hints)  # annotations are strings until resolved
+
+
+def from_json(kind, value, source: str, where: str = "",
+              tokens: Mapping[str, TokenId] | None = None):
+    """``value``, at the dotted path ``where`` of the JSON document
+    ``source``, read as the annotation ``kind``: a dataclass (fields without
+    a default required, unknown keys ignored), ``X | None``, ``tuple[X,
+    ...]``, ``Mapping[K, X]``, ``NDArray`` (converted whole), ``int``,
+    ``float`` (finite, kept as written) or ``str``; no number is a boolean,
+    and with ``tokens`` a ``TokenId`` may be a symbol. Failures raise
+    ``ValidationError("<source>: ...")``."""
+    try:
+        return _read(kind, value, where, tokens or {})
+    except ValidationError as err:
+        raise ValidationError(f"{source}: {err}") from None
+
+
+def _read(kind, value, where: str, tokens: Mapping[str, TokenId]):
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _read(args[0], value, where, tokens)
+    if kind is TokenId and tokens and isinstance(value, str):
+        if value not in tokens:
+            raise ValidationError(f"{where}: unknown token {value!r}")
+        return tokens[value]
+    if origin is np.ndarray:  # NDArray[dtype]
+        dtype = np.dtype(get_args(args[1])[0])
+        try:
+            array = np.asarray(value)
+        except ValueError:  # ragged nesting
+            array = np.asarray(None)
+        if array.ndim != 1 or array.dtype.kind not in (
+                "iu" if dtype.kind in "iu" else "iuf"):
+            raise ValidationError(f"{where} must be a list of {dtype} values")
+        return array.astype(dtype, copy=False)
+    if dataclasses.is_dataclass(kind) or origin is abc.Mapping:
+        fits, what = isinstance(value, dict), "an object"
+    elif origin is tuple:
+        fits, what = isinstance(value, list), "a list"
+    elif kind is float:
+        fits, what = (isinstance(value, (int, float))
+                      and abs(value) <= sys.float_info.max), "a number"
+    else:
+        fits, what = isinstance(value, kind), _SCALARS[kind]
+    if not fits or isinstance(value, bool):
+        raise ValidationError(f"{where or 'document'} must be {what}")
+    if origin is tuple:  # tuple[X, ...]
+        return tuple(_read(args[0], item, f"{where}[{i}]", tokens)
+                     for i, item in enumerate(value))
+    if origin is abc.Mapping:
+        return {_read(args[0], key, where, tokens):
+                _read(args[1], item, f"{where}.{key}", tokens)
+                for key, item in value.items()}
+    if not dataclasses.is_dataclass(kind):
+        return value
+    hints, found = _hints(kind), {}
+    for f in dataclasses.fields(kind):
+        name = f"{where}.{f.name}" if where else f.name
+        if f.name in value:
+            found[f.name] = _read(hints[f.name], value[f.name], name, tokens)
+        elif f.default is f.default_factory is dataclasses.MISSING:
+            raise ValidationError(f"missing field {name}")
+    return kind(**found)

@@ -17,14 +17,14 @@ CSV schemas (exact headers):
 Decimal values are written as shortest round-trip strings, so re-reading a
 file reproduces the exact float bits. Every reader checks the header and
 parses each column by its type; a bad row fails with a ``file:line``
-message. Config files are JSON; every command writes a manifest recording
-sha256 digests of its inputs and outputs.
+message. Config files are JSON, read by ``core.from_json``; ``simulate``,
+``metrics``, ``detect`` and ``report`` write a manifest recording sha256
+digests of their inputs and outputs.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -50,9 +50,10 @@ from .core import (
     ValidationError,
     aggregate,
     bucket_end,
+    from_json,
     log_diff,
 )
-from .simulator import DepegEvent, ScenarioConfig, ScenarioOutput
+from .simulator import ScenarioConfig, ScenarioOutput
 
 TRADES_HEADER = ["ts", "pool_id", "trader", "token_in", "amount_in",
                  "token_out", "amount_out"]
@@ -88,7 +89,7 @@ class PoolRegistryEntry:
     address: str
     tokens: tuple[TokenId, ...]
     amp: float
-    fee: float
+    fee: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.tokens) < 2:
@@ -108,25 +109,15 @@ def _load_json(path: str) -> dict:
 
 
 def load_pool_registry(path: str) -> dict[str, PoolRegistryEntry]:
-    doc = _load_json(path)
+    pools = _load_json(path).get("pools", [])
+    if isinstance(pools, list):  # name defaults to the id, address to zeros
+        pools = [{"name": pool.get("pool_id"), "address": "0" * 40, **pool}
+                 if isinstance(pool, dict) else pool for pool in pools]
     registry: dict[str, PoolRegistryEntry] = {}
-    for pool in doc.get("pools", []):
-        try:
-            entry = PoolRegistryEntry(
-                pool_id=pool["pool_id"],
-                name=pool.get("name", pool["pool_id"]),
-                address=pool.get("address", "0" * 40),
-                tokens=tuple(TokenId(t["symbol"], t.get("address"))
-                             for t in pool["tokens"]),
-                amp=float(pool["amp"]),
-                fee=float(pool.get("fee", 0.0)),
-            )
-        except KeyError as err:
-            raise ValidationError(f"{path}: missing pool field {err}") from None
-        except (TypeError, ValueError) as err:
-            raise ValidationError(f"{path}: {err}") from None
+    for entry in from_json(tuple[PoolRegistryEntry, ...], pools, path,
+                           "pools"):
         if entry.pool_id in registry:
-            raise ValidationError(f"duplicate pool_id {entry.pool_id}")
+            raise ValidationError(f"{path}: duplicate pool_id {entry.pool_id}")
         registry[entry.pool_id] = entry
     if not registry:
         raise ValidationError(f"no pools defined in {path}")
@@ -420,69 +411,14 @@ def write_scenario(out_dir: str, output: ScenarioOutput) -> list[str]:
     return written
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _has_type(value, kind: type) -> bool:
-    """Whether a JSON value fits a field of type ``kind``: a float field
-    takes an integer too, and no number field takes a boolean."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def load_scenario_config(path: str) -> ScenarioConfig:
+    """The scenario at ``path``; ``peg_prices`` keys and depeg-event
+    ``token`` values name scenario tokens by symbol."""
     doc = _load_json(path)
-    # seed, duration and step, then the plain fields with defaults
-    kinds = {"seed": int, "duration": int, "step": int}
-    kinds.update((f.name, type(f.default))
-                 for f in dataclasses.fields(ScenarioConfig)
-                 if type(f.default) in _KINDS)
-    for name, kind in kinds.items():
-        if name in doc and not _has_type(doc[name], kind):
-            raise ValidationError(
-                f"{path}: field {name} must be {_KINDS[kind]}")
-    prices = doc.get("peg_prices", {})
-    if not (isinstance(prices, dict)
-            and all(_has_type(p, float) for p in prices.values())):
-        raise ValidationError(
-            f"{path}: field peg_prices must be an object of numbers")
-    try:
-        tokens = tuple(TokenId(t["symbol"], t.get("address"))
-                       for t in doc["tokens"])
-        by_symbol = {t.symbol: t for t in tokens}
-        pool = stableswap.PoolState(
-            balances=tuple(doc["pool"]["balances"]),
-            amp=doc["pool"]["amp"],
-            fee=doc["pool"].get("fee", 0.0),
-            lp_supply=doc["pool"]["lp_supply"])
-        events = tuple(DepegEvent(
-            token=by_symbol[e["token"]],
-            start=e["start"],
-            target_price=e["target_price"],
-            ramp=e["ramp"],
-            recovery=e.get("recovery"),
-        ) for e in doc.get("depeg_events", []))
-        built = dict(
-            seed=doc["seed"],
-            duration=doc["duration"],
-            step=doc["step"],
-            tokens=tokens,
-            pool=pool,
-            peg_prices={by_symbol[s]: p
-                        for s, p in doc["peg_prices"].items()},
-            depeg_events=events,
-        )
-        # The remaining fields are plain values; absent ones keep the
-        # ScenarioConfig defaults.
-        built.update((f.name, doc[f.name])
-                     for f in dataclasses.fields(ScenarioConfig)
-                     if f.name in doc and f.name not in built)
-        return ScenarioConfig(**built)
-    except KeyError as err:
-        raise ValidationError(f"{path}: missing scenario field {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"{path}: {err}") from None
+    tokens = from_json(tuple[TokenId, ...], doc.get("tokens", []), path,
+                       "tokens")
+    return from_json(ScenarioConfig, doc, path,
+                     tokens={t.symbol: t for t in tokens})
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +579,11 @@ def write_manifest(out_dir: str, command: str, inputs: Sequence[str],
 
 def verify_manifest(path: str) -> list[str]:
     """Re-hash the manifest's outputs; returns a list of mismatch messages."""
-    manifest = _load_json(path)
+    outputs = from_json(Mapping[str, str], _load_json(path).get("outputs", {}),
+                        path, "outputs")
     base = os.path.dirname(path)
     problems = []
-    for name, digest in manifest.get("outputs", {}).items():
+    for name, digest in outputs.items():
         target = os.path.join(base, name)
         if not os.path.exists(target):
             problems.append(f"missing output file {name}")

@@ -74,7 +74,12 @@ def _residual(balances: Sequence[float], amp: float, d: float) -> float:
     ann = amp * n**n
     s = sum(balances)
     prod = math.prod(balances)
-    return ann * s + d - ann * d - d ** (n + 1) / (n**n * prod)
+    try:
+        power = d ** (n + 1)
+    except OverflowError:
+        raise NumericalError(
+            f"invariant residual overflows at D = {d}") from None
+    return ann * s + d - ann * d - power / (n**n * prod)
 
 
 def compute_d(state: PoolState) -> InvariantSolution:

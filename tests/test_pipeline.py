@@ -1,13 +1,18 @@
+import copy
 import csv
+import dataclasses
 import json
 import os
 import shutil
+import types
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from depegwatch import bocd, evaluation, pipeline
-from depegwatch.cli import main
+from depegwatch.cli import SeriesStats, TunedParams, main
 from depegwatch.core import (
     EventStream,
     MetricSeries,
@@ -408,6 +413,183 @@ _SCENARIO_DOC = {
     "pool": {"balances": [5e6, 5e6], "amp": 50.0, "lp_supply": 1e7},
     "peg_prices": {"USDX": 1.0, "USDY": 1.0},
 }
+_EVENT = {"token": "USDX", "start": 3600, "target_price": 0.9, "ramp": 3600}
+_REGISTRY_DOC = {"pools": [{"pool_id": "p", "amp": 50.0, "tokens": [
+    {"symbol": "USDX"}, {"symbol": "USDY"}]}]}
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# Every dataclass read from a JSON document: the command that reads it, a
+# valid document and the path of the dataclass's object in that document.
+_PLACES = [
+    (ScenarioConfig, "simulate", {**_SCENARIO_DOC, "depeg_events": [_EVENT]},
+     ()),
+    (DepegEvent, "simulate", {**_SCENARIO_DOC, "depeg_events": [_EVENT]},
+     ("depeg_events", 0)),
+    (PoolState, "simulate", _SCENARIO_DOC, ("pool",)),
+    (TokenId, "simulate", _SCENARIO_DOC, ("tokens", 0)),
+    (pipeline.PoolRegistryEntry, "metrics", _REGISTRY_DOC, ("pools", 0)),
+    (bocd.RunLengthState, "resume", _FRESH_STATE, ()),
+    (bocd.DetectorConfig, "resume", _FRESH_STATE, ("config",)),
+    (bocd.NGParams, "resume", _FRESH_STATE, ("config", "prior")),
+    (TunedParams, "detect", {"standardize": {"mean": 0.0, "std": 1.0}}, ()),
+    (SeriesStats, "detect", {"standardize": {"mean": 0.0, "std": 1.0}},
+     ("standardize",)),
+]
+
+
+def _wrong_value(hint):
+    """A JSON value of the wrong type for a field annotated ``hint``: true
+    for an integer, a number for a string, a string for anything else."""
+    if typing.get_origin(hint) is types.UnionType:
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    return True if hint is int else 1 if hint is str else "x"
+
+
+def _field_rows():
+    """One wrong-typed row per field of every dataclass in ``_PLACES``."""
+    for cls, command, doc, path in _PLACES:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            bad = _with(doc, (*path, f.name), _wrong_value(hints[f.name]))
+            yield pytest.param(command, json.dumps(bad),
+                               id=f"{cls.__name__}.{f.name}")
+
+
+_BAD_DOCUMENTS = [
+    pytest.param("simulate", json.dumps({"seed": 1}),
+                 id="scenario-missing-field"),
+    pytest.param("simulate", '{"seed": 1, "duration"',
+                 id="scenario-truncated"),
+    pytest.param("simulate", "[1, 2]", id="scenario-list"),
+    pytest.param("metrics", json.dumps({"pools": [{"pool_id": "p", "tokens": [
+        {"symbol": "USDX"}, {"symbol": "USDY"}]}]}),
+        id="registry-missing-amp"),
+    pytest.param("metrics", '{"pools": [{"pool_id": "p",',
+                 id="registry-truncated"),
+    pytest.param("detect", '{"alpha": 2.0', id="params-truncated"),
+    pytest.param("resume", '{"version": 2,', id="state-truncated"),
+    pytest.param("score", '{"alpha"', id="score-params-truncated"),
+    pytest.param("verify", '{"outputs": {', id="manifest-truncated"),
+    pytest.param("resume", json.dumps({"version": 2}), id="state-incomplete"),
+    pytest.param("resume", json.dumps({**_FRESH_STATE, "t": "x"}),
+                 id="state-t-type"),
+    pytest.param("resume", json.dumps({**_FRESH_STATE, "config": [1]}),
+                 id="state-config-type"),
+    pytest.param("metrics", json.dumps(
+        _with(_REGISTRY_DOC, ("pools", 0, "amp"), "x")),
+        id="registry-amp-type"),
+    pytest.param("simulate", json.dumps(
+        _with(_SCENARIO_DOC, ("pool", "amp"), "x")), id="scenario-amp-type"),
+    pytest.param("detect", json.dumps({"standardize": {}}),
+                 id="params-standardize-incomplete"),
+    pytest.param("detect", json.dumps({"alpha": "x"}),
+                 id="params-alpha-type"),
+    pytest.param("detect", json.dumps({"standardize": {"mean": "a",
+                                                       "std": 1}}),
+                 id="params-mean-type"),
+    pytest.param("score", json.dumps({"alpha": "x"}),
+                 id="score-params-alpha-type"),
+    pytest.param("simulate", json.dumps({**_SCENARIO_DOC, "seed": "x"}),
+                 id="scenario-seed-type"),
+    pytest.param("simulate", json.dumps({**_SCENARIO_DOC, "noise_vol": "x"}),
+                 id="scenario-noise-vol-type"),
+    pytest.param("simulate", json.dumps({**_SCENARIO_DOC,
+                                         "n_noise_traders": "2"}),
+                 id="scenario-noise-traders-type"),
+    pytest.param("simulate", json.dumps({**_SCENARIO_DOC,
+                                         "lp_event_prob": "0.1"}),
+                 id="scenario-lp-event-prob-type"),
+    pytest.param("simulate", json.dumps({**_SCENARIO_DOC,
+                                         "peg_prices": [1.0, 1.0]}),
+                 id="scenario-peg-prices-type"),
+    pytest.param("simulate", json.dumps({**_SCENARIO_DOC,
+                                         "arb_threshold": None}),
+                 id="scenario-arb-threshold-null"),
+    # values that a loader cast or ignored instead of rejecting
+    *(pytest.param("simulate", json.dumps(
+        {**_SCENARIO_DOC, "depeg_events": [{**_EVENT, field: value}]}),
+        id=f"scenario-event-{field}-{value}")
+      for field, value in (("start", "x"), ("start", 3600.5),
+                           ("ramp", True))),
+    pytest.param("simulate", json.dumps(
+        _with(_SCENARIO_DOC, ("pool", "balances"), ["1e6", 1e6])),
+        id="scenario-balance-string"),
+    pytest.param("simulate", json.dumps(
+        _with(_SCENARIO_DOC, ("pool", "amp"), True)), id="scenario-amp-true"),
+    pytest.param("metrics", json.dumps(
+        _with(_REGISTRY_DOC, ("pools", 0, "amp"), True)),
+        id="registry-amp-true"),
+    pytest.param("metrics", json.dumps(
+        _with(_REGISTRY_DOC, ("pools", 0, "fee"), "0.001")),
+        id="registry-fee-string"),
+    pytest.param("metrics", json.dumps(
+        {"pools": _REGISTRY_DOC["pools"] * 2}), id="registry-duplicate-pool"),
+    pytest.param("detect", '{"alpha": 1e400}', id="params-alpha-inf"),
+    pytest.param("resume", json.dumps({**_FRESH_STATE, "version": True}),
+                 id="state-version-true"),
+    *(pytest.param("resume", json.dumps({**_FRESH_STATE, **arrays}),
+                   id=f"state-{name}")
+      for name, arrays in (
+          ("misaligned", {"runs": [0, 1]}),
+          ("empty", {"runs": [], "log_joint": [], "mu": [], "beta": []}),
+          ("negative-run", {"runs": [-1]}),
+          ("repeated-run", {"runs": [0, 0], "log_joint": [0.0, 0.0],
+                            "mu": [0.0, 0.0], "beta": [1.0, 1.0]}),
+          ("run-past-max", {"t": 6000, "runs": [0, 6000],
+                            "log_joint": [0.0, 0.0], "mu": [0.0, 0.0],
+                            "beta": [1.0, 1.0]}),
+          ("run-past-t", {"runs": [0, 5], "log_joint": [0.0, 0.0],
+                          "mu": [0.0, 0.0], "beta": [1.0, 1.0]}),
+          ("run-true", {"runs": [True]}),
+          ("log-joint-string", {"log_joint": ["0"]}),
+          ("mu-null", {"mu": [None]}),
+          ("beta-nested", {"beta": [[1.0]]}))),
+    pytest.param("verify", json.dumps({"outputs": [1]}),
+                 id="manifest-outputs-list"),
+    pytest.param("verify", json.dumps({"outputs": "x"}),
+                 id="manifest-outputs-string"),
+    pytest.param("verify", json.dumps({"outputs": {"a.csv": 1}}),
+                 id="manifest-digest-number"),
+    *_field_rows(),
+]
+
+
+def _run(tmp_path, command, text):
+    """Exit code of ``command`` reading the document ``text`` as its
+    JSON input, and the path it was written to."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    metric, labels, cps = (str(tmp_path / n) for n in
+                           ("m.csv", "labels.csv", "cp.csv"))
+    pipeline.write_csv(metric, pipeline.METRIC_HEADER, [(3600, 1.0)])
+    pipeline.write_csv(labels, pipeline.LABELS_HEADER, [])
+    pipeline.write_csv(cps, pipeline.CHANGEPOINTS_HEADER, [])
+    out = str(tmp_path / "o")
+    argv = {
+        "simulate": ["simulate", "--config", str(bad), "--out-dir", out],
+        "metrics": ["metrics", "--data-dir", str(tmp_path),
+                    "--registry", str(bad), "--out-dir", out],
+        "detect": ["detect", "--metric-file", metric,
+                   "--params", str(bad), "--out-dir", out],
+        "resume": ["detect", "--metric-file", metric,
+                   "--state", str(bad), "--resume", "--out-dir", out],
+        "score": ["score", "--labels", labels,
+                  "--changepoints", cps, "--pool", "p",
+                  "--metric", "m", "--params", str(bad),
+                  "--out", str(tmp_path / "scores.csv")],
+        "verify": ["verify", "--manifest", str(bad)],
+    }[command]
+    return main(argv), bad
 
 
 class TestExitCodes:
@@ -417,81 +599,68 @@ class TestExitCodes:
     def test_unknown_command_is_one(self):
         assert main(["frobnicate"]) == 1
 
-    @pytest.mark.parametrize("command, text", [
-        ("simulate", json.dumps({"seed": 1})),
-        ("simulate", '{"seed": 1, "duration"'),
-        ("simulate", "[1, 2]"),
-        ("metrics", json.dumps({"pools": [{"pool_id": "p", "tokens": [
-            {"symbol": "USDX"}, {"symbol": "USDY"}]}]})),
-        ("metrics", '{"pools": [{"pool_id": "p",'),
-        ("detect", '{"alpha": 2.0'),
-        ("resume", '{"version": 2,'),
-        ("score", '{"alpha"'),
-        ("verify", '{"outputs": {'),
-        ("resume", json.dumps({"version": 2})),
-        ("resume", json.dumps({**_FRESH_STATE, "t": "x"})),
-        ("resume", json.dumps({**_FRESH_STATE, "config": [1]})),
-        ("metrics", json.dumps({"pools": [{"pool_id": "p", "amp": "x",
-                                           "tokens": [{"symbol": "USDX"},
-                                                      {"symbol": "USDY"}]}]})),
-        ("simulate", json.dumps({**_SCENARIO_DOC,
-                                 "pool": {**_SCENARIO_DOC["pool"],
-                                          "amp": "x"}})),
-        ("detect", json.dumps({"standardize": {}})),
-        ("detect", json.dumps({"alpha": "x"})),
-        ("detect", json.dumps({"standardize": {"mean": "a", "std": 1}})),
-        ("score", json.dumps({"alpha": "x"})),
-        ("simulate", json.dumps({**_SCENARIO_DOC, "seed": "x"})),
-        ("simulate", json.dumps({**_SCENARIO_DOC, "noise_vol": "x"})),
-        ("simulate", json.dumps({**_SCENARIO_DOC, "n_noise_traders": "2"})),
-        ("simulate", json.dumps({**_SCENARIO_DOC, "lp_event_prob": "0.1"})),
-        ("simulate", json.dumps({**_SCENARIO_DOC, "peg_prices": [1.0, 1.0]})),
-        ("simulate", json.dumps({**_SCENARIO_DOC, "arb_threshold": None})),
-    ], ids=["scenario-missing-field", "scenario-truncated", "scenario-list",
-            "registry-missing-amp", "registry-truncated", "params-truncated",
-            "state-truncated", "score-params-truncated",
-            "manifest-truncated", "state-incomplete", "state-t-type",
-            "state-config-type", "registry-amp-type", "scenario-amp-type",
-            "params-standardize-incomplete", "params-alpha-type",
-            "params-mean-type", "score-params-alpha-type",
-            "scenario-seed-type", "scenario-noise-vol-type",
-            "scenario-noise-traders-type", "scenario-lp-event-prob-type",
-            "scenario-peg-prices-type", "scenario-arb-threshold-null"])
+    @pytest.mark.parametrize("command, text", _BAD_DOCUMENTS)
     def test_validation_error_is_two(self, tmp_path, command, text, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(text)
-        metric, labels, cps = (str(tmp_path / n) for n in
-                               ("m.csv", "labels.csv", "cp.csv"))
-        pipeline.write_csv(metric, pipeline.METRIC_HEADER, [(3600, 1.0)])
-        pipeline.write_csv(labels, pipeline.LABELS_HEADER, [])
-        pipeline.write_csv(cps, pipeline.CHANGEPOINTS_HEADER, [])
-        out = str(tmp_path / "o")
-        argv = {
-            "simulate": ["simulate", "--config", str(bad), "--out-dir", out],
-            "metrics": ["metrics", "--data-dir", str(tmp_path),
-                        "--registry", str(bad), "--out-dir", out],
-            "detect": ["detect", "--metric-file", metric,
-                       "--params", str(bad), "--out-dir", out],
-            "resume": ["detect", "--metric-file", metric,
-                       "--state", str(bad), "--resume", "--out-dir", out],
-            "score": ["score", "--labels", labels,
-                      "--changepoints", cps, "--pool", "p",
-                      "--metric", "m", "--params", str(bad),
-                      "--out", str(tmp_path / "scores.csv")],
-            "verify": ["verify", "--manifest", str(bad)],
-        }[command]
-        assert main(argv) == 2
+        code, bad = _run(tmp_path, command, text)
+        assert code == 2
         assert f"error: {bad}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        pytest.param(command, text, id=f"{command}-{k}")
+        for k, (command, text) in enumerate(sorted(
+            {(command, json.dumps(doc)) for _, command, doc, _ in _PLACES}))])
+    def test_field_row_documents_are_valid(self, tmp_path, command, text):
+        # so that each wrong-typed field row fails on its one field only
+        assert _run(tmp_path, command, text)[0] == 0
+
+    @pytest.mark.parametrize("doc, where", [
+        ({**_SCENARIO_DOC, "peg_prices": {**_SCENARIO_DOC["peg_prices"],
+                                          "USDZ": 1.0}}, "peg_prices"),
+        ({**_SCENARIO_DOC, "depeg_events": [{**_EVENT, "token": "USDZ"}]},
+         "depeg_events[0].token"),
+    ], ids=["peg-prices", "depeg-event"])
+    def test_unknown_token_is_named(self, tmp_path, doc, where, capsys):
+        code, bad = _run(tmp_path, "simulate", json.dumps(doc))
+        assert code == 2
+        assert (f"error: {bad}: {where}: unknown token 'USDZ'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("pool", [
         {**_SCENARIO_DOC["pool"], "balances": [1e-301, 1e-301]},
-    ], ids=["scenario-underflowing-balances"])
+        {**_SCENARIO_DOC["pool"], "balances": [1e160, 1e160]},
+    ], ids=["scenario-underflowing-balances", "scenario-overflowing-balances"])
     def test_numerical_failure_is_three(self, tmp_path, pool, capsys):
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({**_SCENARIO_DOC, "pool": pool}))
         assert main(["simulate", "--config", str(config),
                      "--out-dir", str(tmp_path / "o")]) == 3
         assert "numerical failure: " in capsys.readouterr().err
+
+    def test_integer_amp_gives_identical_files(self, tmp_path):
+        # a float field passes an integer through unchanged, so registry.json
+        # echoes it, and every file computed from it must not move
+        files = []
+        for amp in (50, 50.0):
+            config = tmp_path / f"scenario-{amp!r}.json"
+            config.write_text(json.dumps({
+                **_with(_SCENARIO_DOC, ("pool", "amp"), amp),
+                "duration": 2 * DAY, "depeg_events": [
+                    {**_EVENT, "start": DAY, "target_price": 0.8}],
+                "noise_vol": 1e-3, "n_noise_traders": 4,
+                "lp_event_prob": 0.05}))
+            market = tmp_path / f"market-{amp!r}"
+            assert main(["simulate", "--config", str(config),
+                         "--out-dir", str(market)]) == 0
+            assert main(["metrics", "--data-dir", str(market),
+                         "--out-dir", str(market / "metrics")]) == 0
+            assert main(["label", "--data-dir", str(market), "--pool-id",
+                         "scenario", "--threshold", "0.01",
+                         "--out", str(market / "labels.csv")]) == 0
+            files.append({p.relative_to(market): p.read_bytes()
+                          for p in sorted(market.rglob("*.csv"))})
+        assert files[0] == files[1]
+        assert len(files[0]) > 10
+        assert files[0][Path("labels.csv")].count(b"\n") > 1
 
 
 class TestScoreAndReport:
