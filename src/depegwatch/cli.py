@@ -1,6 +1,11 @@
 """Command-line pipeline: simulate -> metrics -> label -> detect -> tune ->
 score -> report, plus manifest verification.
 
+The group takes no options. Every ``--out-dir`` defaults to the working
+directory; ``metrics``, ``label`` and ``report`` bucket by
+``core.DEFAULT_PERIOD`` (hourly); ``detect --state PATH`` resumes from a
+state that ``detect --save-state`` wrote.
+
 Exit codes: 0 ok, 1 usage error, 2 data validation failure, 3 numerical
 failure.
 """
@@ -16,6 +21,7 @@ import click
 
 from . import bocd, evaluation, metrics, pipeline
 from .core import (
+    DEFAULT_PERIOD,
     MissingPriceError,
     NumericalError,
     PriceTable,
@@ -29,26 +35,8 @@ from .simulator import run_scenario
 
 
 @click.group()
-@click.option("--out-dir", type=click.Path(), default=".",
-              help="Directory for command outputs.")
-@click.option("--seed", type=int, default=None,
-              help="Override the scenario seed.")
-@click.option("--period", type=int, default=3600,
-              help="Aggregation period in seconds.")
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Path to the command's JSON config file.")
-@click.pass_context
-def cli(ctx: click.Context, out_dir: str, seed: int | None, period: int,
-        config_path: str | None) -> None:
+def cli() -> None:
     """Depeg detection pipeline for StableSwap pools."""
-    ctx.obj = {"out_dir": out_dir, "seed": seed, "period": period,
-               "config": config_path}
-
-
-def _out_dir(ctx: click.Context, override: str | None) -> str:
-    out = override or ctx.obj["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _registry_for(data_dir: str, registry_path: str | None):
@@ -60,19 +48,13 @@ def _registry_for(data_dir: str, registry_path: str | None):
 
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(exists=True),
-              required=False, help="Scenario JSON (falls back to the global --config).")
-@click.option("--out-dir", "out_override", type=click.Path(), default=None)
-@click.pass_context
-def simulate(ctx: click.Context, config_path: str | None,
-             out_override: str | None) -> None:
+              required=True, help="Scenario JSON.")
+@click.option("--out-dir", type=click.Path(), default=".",
+              help="Directory for the CSV bundle.")
+def simulate(config_path: str, out_dir: str) -> None:
     """Run a synthetic market scenario and write its CSV bundle."""
-    config_path = config_path or ctx.obj["config"]
-    if not config_path:
-        raise click.UsageError("simulate requires --config scenario.json")
-    out_dir = _out_dir(ctx, out_override)
+    os.makedirs(out_dir, exist_ok=True)
     cfg = pipeline.load_scenario_config(config_path)
-    if ctx.obj["seed"] is not None:
-        cfg = dataclasses.replace(cfg, seed=ctx.obj["seed"])
     output = run_scenario(cfg)
     written = pipeline.write_scenario(out_dir, output)
     pipeline.write_manifest(out_dir, "simulate", [config_path], written,
@@ -85,14 +67,14 @@ def simulate(ctx: click.Context, config_path: str | None,
 @cli.command("metrics")
 @click.option("--data-dir", type=click.Path(exists=True), required=True)
 @click.option("--registry", "registry_path", type=click.Path(), default=None)
-@click.option("--out-dir", "out_override", type=click.Path(), default=None)
+@click.option("--out-dir", type=click.Path(), default=".")
 @click.option("--markout-horizon", type=int, default=300)
-@click.pass_context
-def metrics_cmd(ctx: click.Context, data_dir: str, registry_path: str | None,
-                out_override: str | None, markout_horizon: int) -> None:
-    """Compute every metric series for every pool in the data bundle."""
-    out_dir = _out_dir(ctx, out_override)
-    period = ctx.obj["period"]
+def metrics_cmd(data_dir: str, registry_path: str | None, out_dir: str,
+                markout_horizon: int) -> None:
+    """Compute every metric series for every pool in the data bundle,
+    bucketed hourly."""
+    os.makedirs(out_dir, exist_ok=True)
+    period = DEFAULT_PERIOD
     registry = _registry_for(data_dir, registry_path)
     streams, prices = pipeline.ingest(data_dir, registry, period)
     cfg = metrics.MetricConfig(window=period, markout_horizon=markout_horizon,
@@ -121,17 +103,15 @@ def metrics_cmd(ctx: click.Context, data_dir: str, registry_path: str | None,
 @click.option("--threshold", type=float, default=0.05,
               help="Share-price deviation that defines a depeg.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.pass_context
-def label(ctx: click.Context, data_dir: str, registry_path: str | None,
-          pool_id: str, threshold: float, out_path: str) -> None:
-    """Label true depegs from LP share price vs virtual price."""
-    period = ctx.obj["period"]
+def label(data_dir: str, registry_path: str | None, pool_id: str,
+          threshold: float, out_path: str) -> None:
+    """Label true depegs from hourly LP share price vs virtual price."""
     registry = _registry_for(data_dir, registry_path)
     if pool_id not in registry:
         raise ValidationError(f"unknown pool_id {pool_id!r}")
-    streams, prices = pipeline.ingest(data_dir, registry, period)
+    streams, prices = pipeline.ingest(data_dir, registry, DEFAULT_PERIOD)
     sp, vp = pipeline.share_price_series(streams[pool_id], prices,
-                                         registry[pool_id], period)
+                                         registry[pool_id], DEFAULT_PERIOD)
     cfg = evaluation.ScoringConfig(depeg_threshold=threshold)
     labels = evaluation.label_depegs(sp, vp, cfg)
     pipeline.write_csv(out_path, pipeline.LABELS_HEADER,
@@ -178,27 +158,26 @@ def _given(*values):
 @click.option("--predictive-scale",
               type=click.Choice(list(bocd.PREDICTIVE_SCALES)), default=None)
 @click.option("--state", "state_path", type=click.Path(), default=None,
-              help="Detector state JSON for resuming.")
-@click.option("--resume", is_flag=True, default=False)
+              help="Detector state JSON (from --save-state) to resume "
+                   "from; its config replaces the prior, hazard and "
+                   "predictive-scale flags.")
 @click.option("--save-state", "save_state_path", type=click.Path(), default=None)
-@click.option("--out-dir", "out_override", type=click.Path(), default=None)
-@click.pass_context
-def detect(ctx: click.Context, metric_file: str, params_path: str | None,
-           transform: str | None, alpha: float | None, beta: float | None,
-           kappa: float | None, hazard_lambda: float | None,
-           predictive_scale: str | None, state_path: str | None, resume: bool,
-           save_state_path: str | None, out_override: str | None) -> None:
+@click.option("--out-dir", type=click.Path(), default=".")
+def detect(metric_file: str, params_path: str | None, transform: str | None,
+           alpha: float | None, beta: float | None, kappa: float | None,
+           hazard_lambda: float | None, predictive_scale: str | None,
+           state_path: str | None, save_state_path: str | None,
+           out_dir: str) -> None:
     """Detect changepoints on a metric file; resumable via saved state."""
-    out_dir = _out_dir(ctx, out_override)
+    os.makedirs(out_dir, exist_ok=True)
     params = (from_json(TunedParams, pipeline._load_json(params_path),
                         params_path) if params_path else TunedParams())
     transform = _given(transform, params.transform, "none")
 
     state = None
-    if resume:
-        if not state_path or not os.path.exists(state_path):
-            raise ValidationError(
-                f"--resume requires an existing state file, got {state_path!r}")
+    if state_path:
+        if not os.path.exists(state_path):
+            raise ValidationError(f"state file not found: {state_path}")
         state, cfg = bocd.state_from_dict(pipeline._load_json(state_path),
                                           state_path)
     else:
@@ -259,18 +238,17 @@ def detect(ctx: click.Context, metric_file: str, params_path: str | None,
               type=click.Choice(list(bocd.PREDICTIVE_SCALES)),
               default="paper")
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.pass_context
-def tune(ctx: click.Context, metric_file: str, labels_path: str,
-         metric_name: str | None, transform: str | None, margin: int,
-         f_beta: float, exponent_lo: int, exponent_hi: int,
-         hazard_lambda: float, predictive_scale: str, out_path: str) -> None:
+def tune(metric_file: str, labels_path: str, metric_name: str | None,
+         transform: str | None, margin: int, f_beta: float, exponent_lo: int,
+         exponent_hi: int, hazard_lambda: float, predictive_scale: str,
+         out_path: str) -> None:
     """Grid-search detector hyperparameters against labelled depegs.
 
     Writes the chosen prior to --out and every prior's score to grid.csv in
     the same directory."""
     if transform is None:
         transform = pipeline.DEFAULT_TRANSFORMS.get(metric_name or "", "none")
-    raw = pipeline.read_metric_series(metric_file, metric_name or "")
+    raw = pipeline.read_metric_series(metric_file)
     transformed = pipeline.transform_series(raw, transform)
     if len(transformed) == 0:
         raise ValidationError("metric file has too few points to tune on")
@@ -288,7 +266,7 @@ def tune(ctx: click.Context, metric_file: str, labels_path: str,
     prior, report = evaluation.best_of_grid(reports)
 
     doc = {
-        "metric": metric_name or raw.metric_name,
+        "metric": metric_name or "",
         "transform": transform,
         "standardize": {"mean": mean, "std": std},
         "hazard_lambda": hazard_lambda,
@@ -357,14 +335,13 @@ def score(labels_path: str, cp_path: str, pool: str, metric_name: str,
 @click.option("--changepoints", "cp_path", type=click.Path(exists=True),
               default=None)
 @click.option("--margin", type=int, default=48 * 3600)
-@click.option("--out-dir", "out_override", type=click.Path(), default=None)
-@click.pass_context
-def report(ctx: click.Context, score_paths: tuple[str, ...],
-           prices_path: str | None, token_symbol: str | None, level: float,
-           cp_path: str | None, margin: int,
-           out_override: str | None) -> None:
-    """Emit the pool-results table and the per-event lead-time report."""
-    out_dir = _out_dir(ctx, out_override)
+@click.option("--out-dir", type=click.Path(), default=".")
+def report(score_paths: tuple[str, ...], prices_path: str | None,
+           token_symbol: str | None, level: float, cp_path: str | None,
+           margin: int, out_dir: str) -> None:
+    """Emit the pool-results table and the per-event lead-time report
+    (token price bucketed hourly)."""
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     inputs = list(score_paths)
 
@@ -381,7 +358,7 @@ def report(ctx: click.Context, score_paths: tuple[str, ...],
         inputs += [prices_path, cp_path]
         samples = pipeline.read_price_samples(prices_path, token_symbol)
         table = PriceTable(samples)
-        series = table.series(TokenId(token_symbol), ctx.obj["period"])
+        series = table.series(TokenId(token_symbol), DEFAULT_PERIOD)
         crossings = evaluation.price_threshold_crossings(series, level)
         predictions = sorted(pipeline.read_changepoints(cp_path))
         lead_rows = []

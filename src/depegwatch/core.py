@@ -179,16 +179,6 @@ class MetricSeries:
     def points(self) -> list[tuple[Timestamp, float]]:
         return [(int(t), float(v)) for t, v in zip(self.timestamps, self.values)]
 
-    def slice_between(self, start: Timestamp | None, end: Timestamp | None) -> "MetricSeries":
-        """Points with start <= ts <= end (either bound optional)."""
-        mask = np.ones(len(self), dtype=bool)
-        if start is not None:
-            mask &= self.timestamps >= start
-        if end is not None:
-            mask &= self.timestamps <= end
-        return MetricSeries(self.metric_name, self.pool_id,
-                            self.timestamps[mask].copy(), self.values[mask].copy())
-
     def with_name(self, metric_name: str) -> "MetricSeries":
         return MetricSeries(metric_name, self.pool_id,
                             self.timestamps.copy(), self.values.copy())
@@ -218,12 +208,12 @@ def aggregate(
     """Bucket raw points into a uniformly spaced series.
 
     One output point per bucket covering [first, last]; empty buckets get 0
-    in ``sum`` mode and the carried-forward value in ``last``/``mean`` mode.
+    in ``sum`` mode and the carried-forward value in ``last`` mode.
     Empty input yields an empty series. Idempotent at a fixed period.
     """
     if period <= 0:
         raise ValidationError("period must be positive")
-    if mode not in ("sum", "last", "mean"):
+    if mode not in ("sum", "last"):
         raise ValidationError(f"unknown aggregation mode {mode!r}")
     pts = sorted(points, key=lambda p: p[0])
     if not pts:
@@ -234,21 +224,20 @@ def aggregate(
     last = bucket_end(pts[-1][0], period)
     labels = np.arange(first, last + period, period, dtype=np.int64)
     # Python floats add as float64 does, without a numpy scalar per write
-    sums, counts, lasts = ([0.0] * labels.size, [0] * labels.size,
-                           [math.nan] * labels.size)
+    out = [0.0 if mode == "sum" else None] * labels.size
     for ts, value in pts:
         k = (bucket_end(ts, period) - first) // period
-        sums[k] += value
-        counts[k] += 1
-        lasts[k] = value
-
-    out = sums
-    if mode != "sum":
-        out, carried = [], math.nan
-        for total, count, latest in zip(sums, counts, lasts):
-            if count:
-                carried = latest if mode == "last" else total / count
-            out.append(carried)
+        if mode == "sum":
+            out[k] += value
+        else:
+            out[k] = value
+    if mode == "last":  # an empty bucket carries the previous value forward
+        carried = math.nan
+        for k, value in enumerate(out):
+            if value is None:
+                out[k] = carried
+            else:
+                carried = value
     return MetricSeries(metric_name, pool_id, labels, out)
 
 
@@ -268,16 +257,11 @@ def log_diff(series: MetricSeries) -> MetricSeries:
                         series.timestamps[1:].copy(), np.diff(np.log(vals)))
 
 
-def fit_stats(
-    series: MetricSeries,
-    start: Timestamp | None = None,
-    end: Timestamp | None = None,
-) -> tuple[float, float]:
-    """(mean, population std) over the training slice [start, end]."""
-    sliced = series.slice_between(start, end)
-    if len(sliced) == 0:
-        raise ValidationError("cannot fit statistics on an empty slice")
-    return float(np.mean(sliced.values)), float(np.std(sliced.values))
+def fit_stats(series: MetricSeries) -> tuple[float, float]:
+    """(mean, population std) of a training series."""
+    if len(series) == 0:
+        raise ValidationError("cannot fit statistics on an empty series")
+    return float(np.mean(series.values)), float(np.std(series.values))
 
 
 def standardize(series: MetricSeries, ref_mean: float, ref_std: float) -> MetricSeries:
@@ -432,8 +416,10 @@ def _read(kind, value, where: str, tokens: Mapping[str, TokenId]):
             array = np.asarray(value)
         except ValueError:  # ragged nesting
             array = np.asarray(None)
+        # numpy reads a boolean among numbers as 0 or 1, so look for one
         if array.ndim != 1 or array.dtype.kind not in (
-                "iu" if dtype.kind in "iu" else "iuf"):
+                "iu" if dtype.kind in "iu" else "iuf") or bool in set(
+                    map(type, value)):
             raise ValidationError(f"{where} must be a list of {dtype} values")
         return array.astype(dtype, copy=False)
     if dataclasses.is_dataclass(kind) or origin is abc.Mapping:

@@ -22,6 +22,8 @@ from .core import MetricSeries, Timestamp, ValidationError
 # (priors x steps) cells per batched detection in score_grid
 _BATCH_CELLS = 1 << 20
 
+GRID_BASE = 10.0
+
 
 @dataclass(frozen=True)
 class DepegLabel:
@@ -57,10 +59,9 @@ class ScoreReport:
 @dataclass(frozen=True)
 class GridSpace:
     """Log-spaced hyperparameter grid: every (alpha, beta, kappa) equal to
-    base**i over the exponent range, mu pinned at zero."""
+    GRID_BASE**i over the exponent range, mu pinned at zero."""
 
     exponent_range: tuple[int, int] = (-5, 4)
-    base: float = 10.0
 
     def __post_init__(self) -> None:
         lo, hi = self.exponent_range
@@ -157,8 +158,8 @@ def grid_configs(space: GridSpace | None = None) -> list[NGParams]:
     (lexicographic exponent) order."""
     space = space or GridSpace()
     return [
-        NGParams(mu=0.0, alpha=space.base**i, beta=space.base**j,
-                 kappa=space.base**k)
+        NGParams(mu=0.0, alpha=GRID_BASE**i, beta=GRID_BASE**j,
+                 kappa=GRID_BASE**k)
         for i in space.exponents
         for j in space.exponents
         for k in space.exponents

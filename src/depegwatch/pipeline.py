@@ -307,13 +307,14 @@ def write_metric_series(path: str, series: MetricSeries) -> None:
     write_csv(path, METRIC_HEADER, series.points)
 
 
-def read_metric_series(path: str, metric_name: str = "",
-                       pool_id: str = "") -> MetricSeries:
+def read_metric_series(path: str) -> MetricSeries:
+    """A metric file's points; the name and pool are not in the file, so
+    both are empty."""
     ts, values = [], []
     for _, (t, v) in _read(path, METRIC_HEADER, (int, float)):
         ts.append(t)
         values.append(v)
-    return MetricSeries(metric_name, pool_id,
+    return MetricSeries("", "",
                         np.array(ts, dtype=np.int64), np.array(values))
 
 

@@ -466,8 +466,8 @@ def scalar_tune(train_series: MetricSeries, labels: Sequence[int],
     prior, its report (F, then P, then smallest exponents) and every
     prior's (changepoint steps, final state) in grid order."""
     def key(p):
-        return (math.log(p.alpha, space.base), math.log(p.beta, space.base),
-                math.log(p.kappa, space.base))
+        return (math.log(p.alpha, 10.0), math.log(p.beta, 10.0),
+                math.log(p.kappa, 10.0))
 
     best, runs = None, []
     for prior in grid_configs(space):

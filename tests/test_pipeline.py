@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import shlex
 import shutil
 import types
 import typing
@@ -307,7 +308,7 @@ class TestDetectCommand:
                      "--out-dir", split_dir1]) == 0
         split_dir2 = str(tmp_path / "s2")
         assert main(["detect", "--metric-file", str(second),
-                     "--state", state_path, "--resume",
+                     "--state", state_path,
                      "--out-dir", split_dir2]) == 0
 
         whole_cp = open(os.path.join(whole_dir, "changepoints.csv")).read()
@@ -356,7 +357,7 @@ class TestDetectCommand:
             state_path.write_text(json.dumps(doc))
             out_dir = tmp_path / name
             assert main(["detect", "--metric-file", str(second),
-                         "--state", str(state_path), "--resume",
+                         "--state", str(state_path),
                          "--out-dir", str(out_dir)]) == 0
             outputs.append([(out_dir / f).read_text()
                             for f in ("changepoints.csv", "runlength.csv")])
@@ -384,7 +385,7 @@ class TestDetectCommand:
                               np.zeros(3))
         path = tmp_path / "m.csv"
         pipeline.write_metric_series(str(path), series)
-        code = main(["detect", "--metric-file", str(path), "--resume",
+        code = main(["detect", "--metric-file", str(path),
                      "--state", str(tmp_path / "missing.json"),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
@@ -551,6 +552,13 @@ _BAD_DOCUMENTS = [
           ("run-past-t", {"runs": [0, 5], "log_joint": [0.0, 0.0],
                           "mu": [0.0, 0.0], "beta": [1.0, 1.0]}),
           ("run-true", {"runs": [True]}),
+          # numpy alone would read these as [0, 1] and [0.0, 1.0]
+          ("runs-with-true", {"t": 1, "runs": [0, True],
+                              "log_joint": [0.0, 0.0], "mu": [0.0, 0.0],
+                              "beta": [1.0, 1.0]}),
+          ("log-joint-with-true", {"t": 1, "runs": [0, 1],
+                                   "log_joint": [0.0, True],
+                                   "mu": [0.0, 0.0], "beta": [1.0, 1.0]}),
           ("log-joint-string", {"log_joint": ["0"]}),
           ("mu-null", {"mu": [None]}),
           ("beta-nested", {"beta": [[1.0]]}))),
@@ -582,7 +590,7 @@ def _run(tmp_path, command, text):
         "detect": ["detect", "--metric-file", metric,
                    "--params", str(bad), "--out-dir", out],
         "resume": ["detect", "--metric-file", metric,
-                   "--state", str(bad), "--resume", "--out-dir", out],
+                   "--state", str(bad), "--out-dir", out],
         "score": ["score", "--labels", labels,
                   "--changepoints", cps, "--pool", "p",
                   "--metric", "m", "--params", str(bad),
@@ -598,6 +606,17 @@ class TestExitCodes:
 
     def test_unknown_command_is_one(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--metric-file", "m.csv", "--resume"],
+        ["--out-dir", "out", "verify", "--help"],
+        ["--config", "scenario.json", "simulate"],
+        ["--seed", "3", "verify", "--help"],
+        ["--period", "60", "verify", "--help"],
+    ], ids=["detect-resume", "out-dir", "config", "seed", "period"])
+    def test_removed_option_is_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "No such option" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text", _BAD_DOCUMENTS)
     def test_validation_error_is_two(self, tmp_path, command, text, capsys):
@@ -816,3 +835,33 @@ class TestTuneCommand:
                      "--exponent-lo", "0", "--exponent-hi", "0",
                      "--out", str(tmp_path / "t.json")])
         assert code == 2
+
+
+def _readme_commands():
+    """The ``depegwatch`` lines of the README's command-line block, as
+    argument lists with continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Command-line pipeline", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+class TestReadme:
+    def test_command_block_runs(self, tmp_path, monkeypatch):
+        # the two scenario files the block reads, shortened to three days
+        for name, seed, depeg_day in (("train", 777, 1), ("test", 1234, 2)):
+            (tmp_path / f"{name}_scenario.json").write_text(json.dumps({
+                **_SCENARIO_DOC, "seed": seed, "duration": 3 * DAY,
+                "pool": {**_SCENARIO_DOC["pool"], "fee": 0.0004},
+                "depeg_events": [{"token": "USDX", "start": depeg_day * DAY,
+                                  "target_price": 0.85, "ramp": DAY // 2}],
+                "noise_vol": 2e-4, "n_noise_traders": 2, "n_informed": 2,
+                "informed_lead": 6 * 3600, "lp_event_prob": 0.02}))
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_commands()
+        assert len(commands) == 11
+        for argv in commands:
+            assert argv[0] == "depegwatch"
+            assert main(argv[1:]) == 0, argv
