@@ -7,11 +7,15 @@ Student-t. All mass arithmetic happens in log space, since run lengths in
 the thousands underflow linear space.
 
 One kernel advances a block of detectors that share hazard, pruning and
-predictive scale but not their prior: the online :func:`step` is a batch of
-one, and :func:`detect_batch` runs a whole prior grid at once. The
-Student-t normaliser comes from :func:`depegwatch.core.gammaln`, a port of
-the cephes routine behind ``scipy.special.gammaln`` that equals it bit for
-bit; scipy is only a test dependency.
+predictive scale but not their prior. The block is factored over the prior
+grid's (alpha, beta, kappa) axes: the log-joint has one row per prior, but
+each other quantity is kept once per axis value it depends on, and numpy
+broadcasting forms the predictive with the same operations in the same
+order as one row per prior would. :func:`detect_batch` runs a whole grid at
+once, and the online :func:`step` is the 1x1x1 case. The Student-t
+normaliser comes from :func:`depegwatch.core.gammaln`, a port of the cephes
+routine behind ``scipy.special.gammaln`` that equals it bit for bit; scipy
+is only a test dependency.
 
 Two predictive-scale conventions are supported:
 
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -88,9 +91,8 @@ class RunLengthState:
     Arrays are aligned: ``log_joint[k]`` is log P(r_t = runs[k], x_{1:t})
     and ``mu[k]``, ``beta[k]`` are that hypothesis's Normal-Gamma location
     and rate. Its ``alpha`` and ``kappa`` are the prior's plus ``runs[k]``
-    half-steps and steps, so they live in per-prior run-length tables, not
-    here. ``runs`` is strictly increasing with runs[0] == 0 after the first
-    step.
+    half-steps and steps, so they live in run-length tables, not here.
+    ``runs`` is strictly increasing with runs[0] == 0 after the first step.
     """
 
     t: int
@@ -125,12 +127,16 @@ def hazard(cfg: DetectorConfig) -> float:
 
 
 class _Tables(NamedTuple):
-    """Per-prior functions of the run length r, each of shape (B, n):
-    kappa_r, kappa_{r+1}, alpha_r * kappa_r, nu_r, nu_r * pi, (nu_r + 1) / 2
-    and the Student-t normaliser gammaln((nu_r+1)/2) - gammaln(nu_r/2)."""
+    """Functions of the run length r over a factored (alpha, beta, kappa)
+    block, each with n run lengths on its last axis: kappa_r, kappa_{r+1}
+    and 2 kappa_{r+1} are (K, n); alpha_r * kappa_r is (A, 1, K, n); nu_r,
+    nu_r * pi, (nu_r + 1) / 2 and the Student-t normaliser
+    gammaln((nu_r+1)/2) - gammaln(nu_r/2) depend on alpha alone and are
+    (A, 1, 1, n). The singleton axes broadcast over beta and kappa."""
 
     kappa: np.ndarray
     kappa1: np.ndarray
+    two_kappa1: np.ndarray
     alpha_kappa: np.ndarray
     nu: np.ndarray
     nu_pi: np.ndarray
@@ -139,6 +145,7 @@ class _Tables(NamedTuple):
 
 
 def _run_tables(alpha0: np.ndarray, kappa0: np.ndarray, n: int) -> _Tables:
+    """The tables of the prior axes ``alpha0`` (A,) and ``kappa0`` (K,)."""
     # accumulate adds 0.5 and 1.0 one run length at a time, so every entry
     # equals the prior's parameter updated r times by conjugacy, bit for bit
     def grown(start, inc, size):
@@ -149,87 +156,133 @@ def _run_tables(alpha0: np.ndarray, kappa0: np.ndarray, n: int) -> _Tables:
     alpha_all = grown(alpha0, 0.5, n + 1)
     alpha = alpha_all[:, :n]
     kappa_all = grown(kappa0, 1.0, n + 1)
-    kappa = kappa_all[:, :n]
+    kappa, kappa1 = kappa_all[:, :n], kappa_all[:, 1:]
     nu = 2.0 * alpha
     # (nu_r + 1) / 2 is alpha_{r+1} and nu_r / 2 is alpha_r, bit for bit
     # (doubling and halving are exact), so the normaliser is the difference
-    # of neighbours in one gammaln row per distinct prior alpha
-    _, first, inverse = np.unique(alpha0, return_index=True,
-                                  return_inverse=True)
-    rows = alpha_all[first]
-    log_gamma = np.fromiter(map(gammaln, rows.ravel().tolist()), float,
-                            rows.size).reshape(rows.shape)
-    return _Tables(kappa, kappa_all[:, 1:], alpha * kappa, nu, nu * math.pi,
-                   alpha_all[:, 1:],
-                   (log_gamma[:, 1:] - log_gamma[:, :-1])[inverse])
+    # of neighbours in one gammaln row per alpha
+    log_gamma = np.fromiter(map(gammaln, alpha_all.ravel().tolist()), float,
+                            alpha_all.size).reshape(alpha_all.shape)
+    return _Tables(kappa, kappa1, 2.0 * kappa1,
+                   (alpha[:, None] * kappa)[:, None],
+                   *(table[:, None, None] for table in (
+                       nu, nu * math.pi, alpha_all[:, 1:],
+                       log_gamma[:, 1:] - log_gamma[:, :-1])))
 
 
-@lru_cache(maxsize=32)
-def _prior_tables(alpha0: float, kappa0: float, n: int) -> np.ndarray:
-    """The tables of one prior stacked as (7, n), for indexing by runs."""
-    stacked = np.stack([t[0] for t in _run_tables(np.array([alpha0]),
-                                                  np.array([kappa0]), n)])
-    stacked.flags.writeable = False  # shared by every caller of the cache
+_TABLES_KEPT = 32
+_kept_tables: dict[tuple[float, float], np.ndarray] = {}
+
+
+def _prior_tables(alpha0: float, kappa0: float, size: int) -> np.ndarray:
+    """The tables of one prior stacked as (8, m) with m >= size, for
+    indexing by runs. An entry does not depend on the table's length, so
+    each (alpha, kappa) keeps one table and rebuilds it only to grow it;
+    the most recently used ``_TABLES_KEPT`` are kept."""
+    key = (alpha0, kappa0)
+    stacked = _kept_tables.pop(key, None)
+    if stacked is None or stacked.shape[1] < size:
+        stacked = np.stack([table.ravel() for table in _run_tables(
+            np.array([alpha0]), np.array([kappa0]), size)])
+        stacked.flags.writeable = False  # shared by every caller
+    _kept_tables[key] = stacked
+    if len(_kept_tables) > _TABLES_KEPT:
+        del _kept_tables[next(iter(_kept_tables))]
     return stacked
 
 
-def _row_lse(values: np.ndarray) -> np.ndarray:
-    """Row-wise log_sum_exp of a (B, n) array; -inf for all -inf rows."""
+def _row_lse(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Row-wise log_sum_exp of a (B, n) array; -inf for all -inf rows. The
+    shifted exponentials go to ``scratch``, a (B, n) array."""
     peak = values.max(axis=1, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
-    return peak[:, 0] + np.log(np.exp(values - peak).sum(axis=1))
+    shifted = np.subtract(values, peak, out=scratch)
+    return peak[:, 0] + np.log(np.exp(shifted, out=shifted).sum(axis=1))
 
 
 def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
              beta: np.ndarray, tables: _Tables, runs: np.ndarray,
-             prior_mu, prior_beta, cfg: DetectorConfig):
-    """Advance B detectors that share ``cfg`` but not their prior by one
+             prior_mu, prior_beta, cfg: DetectorConfig, work: np.ndarray):
+    """Advance a factored block of detectors that share ``cfg`` by one
     observation, in place.
 
-    ``log_joint``, ``mu`` and ``beta`` are (B, n + 1) blocks whose columns
-    1..n hold hypotheses that ``tables`` (B, n) describe; column 0 receives
-    the fresh run-length-zero hypothesis. ``runs`` holds every column's run
-    length after the step, ascending. Pruned hypotheses become -inf and their
-    mass moves to run length zero. Returns each row's MAP column (first
-    maximum, so the smallest run length wins ties) and MAP posterior, and
-    the number of hypotheses pruned.
+    The block's rows are the priors of an (alpha, beta, kappa) grid in C
+    order, A x B x K of them, all with one prior mean. ``log_joint`` is
+    (A B K, n + 1); ``mu`` (K, n + 1) holds each kappa's Normal-Gamma means,
+    which are all that rows sharing kappa differ in, and ``beta``
+    (B, K, n + 1) each (beta, kappa)'s rates. Columns 1..n hold hypotheses
+    that ``tables`` describe (see :class:`_Tables`); column 0 receives the
+    fresh run-length-zero hypothesis, with ``prior_mu`` and ``prior_beta``
+    (broadcast to (K,) and (B, K)). Every value equals the one that a
+    block with one row of each quantity per prior would compute. ``runs``
+    holds every column's run length after the step, ascending. Pruned
+    hypotheses become -inf and their mass moves to run length zero.
+
+    The block-sized intermediates are written in place into ``work``, a
+    (2, m) array with m >= ``log_joint.size``, so that a pass does not
+    allocate and fault in fresh pages every step; each is formed by the
+    same operations in the same order as its one-expression form. Returns
+    each row's MAP column (first maximum, so the smallest run length wins
+    ties), the posterior block (a view into ``work``) and the number of
+    hypotheses pruned.
     """
     h = hazard(cfg)
-    m, b = mu[:, 1:], beta[:, 1:]
-    if cfg.predictive_scale == "paper":
-        sigma_sq = b / tables.alpha_kappa
-    else:
-        sigma_sq = b * tables.kappa1 / tables.alpha_kappa
+    size, n = log_joint.shape[0], log_joint.shape[1] - 1
+    m, b = mu[..., 1:], beta[..., 1:]
+    # the grid's alpha axis, if the tables have one, ahead of beta's (B, K, n)
+    shape = tables.alpha_kappa.shape[:-3] + b.shape
+    log_pred = work[0, :size * n].reshape(shape)
+    sigma_sq = work[1, :size * n].reshape(shape)
+    np.divide(b if cfg.predictive_scale == "paper" else b * tables.kappa1,
+              tables.alpha_kappa, out=sigma_sq)
     dev_sq = (x - m) ** 2
-    log_pred = (tables.log_norm - 0.5 * np.log(tables.nu_pi * sigma_sq)
-                - tables.half_nu1 * np.log1p(dev_sq / (tables.nu * sigma_sq)))
-    weighted = log_joint[:, 1:] + log_pred
-    log_joint[:, 0] = _row_lse(weighted) + math.log(h)
+    # log_norm - 0.5 * log(nu_pi * sigma_sq)
+    #     - half_nu1 * log1p(dev_sq / (nu * sigma_sq))
+    np.log(np.multiply(tables.nu_pi, sigma_sq, out=log_pred), out=log_pred)
+    log_pred *= 0.5
+    np.subtract(tables.log_norm, log_pred, out=log_pred)
+    z_sq = np.multiply(tables.nu, sigma_sq, out=sigma_sq)
+    np.log1p(np.divide(dev_sq, z_sq, out=z_sq), out=z_sq)
+    log_pred -= np.multiply(tables.half_nu1, z_sq, out=z_sq)
+    weighted = log_pred.reshape(size, n)
+    weighted += log_joint[:, 1:]
+    # sigma_sq's work row is free again
+    log_joint[:, 0] = (_row_lse(weighted, sigma_sq.reshape(size, n))
+                       + math.log(h))
     np.add(weighted, math.log1p(-h), out=log_joint[:, 1:])
-    b += tables.kappa * dev_sq / (2.0 * tables.kappa1)
+    b += tables.kappa * dev_sq / tables.two_kappa1
     m[...] = (tables.kappa * m + x) / tables.kappa1
-    mu[:, 0] = prior_mu
-    beta[:, 0] = prior_beta
+    mu[..., 0] = prior_mu
+    beta[..., 0] = prior_beta
 
-    posterior = np.exp(log_joint - _row_lse(log_joint)[:, None])
+    posterior = work[0, :log_joint.size].reshape(log_joint.shape)
+    scratch = work[1, :log_joint.size].reshape(log_joint.shape)
+    np.subtract(log_joint, _row_lse(log_joint, scratch)[:, None],
+                out=posterior)
+    np.exp(posterior, out=posterior)
     drop = posterior < cfg.prob_floor
-    drop[:, runs > cfg.max_run_length] = True
+    if runs[-1] > cfg.max_run_length:
+        drop[:, runs > cfg.max_run_length] = True
     drop[:, 0] = False
     drop &= log_joint > -math.inf  # not the ones pruned before
-    rows, cols = np.nonzero(drop)  # row-major: each row's runs ascend
+    rows, cols = np.nonzero(drop)  # row-major: rows ascend, then runs
     if rows.size:
         dropped = log_joint[rows, cols]
         log_joint[rows, cols] = -math.inf
-        hit, first, count = np.unique(rows, return_index=True,
-                                      return_counts=True)
+        starts = np.empty(rows.size, dtype=bool)  # each hit row's first
+        starts[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        hit = rows[first]
         peak = np.maximum.reduceat(dropped, first)
         mass = peak + np.log(np.add.reduceat(
-            np.exp(dropped - np.repeat(peak, count)), first))
+            np.exp(dropped - peak[np.cumsum(starts) - 1]), first))
         log_joint[hit, 0] = np.logaddexp(log_joint[hit, 0], mass)
-        posterior[hit] = np.exp(
-            log_joint[hit] - _row_lse(log_joint[hit])[:, None])
-    map_col = posterior.argmax(axis=1)
-    return map_col, posterior[np.arange(len(map_col)), map_col], rows.size
+        renewed = log_joint[hit]
+        lse = _row_lse(renewed, scratch[:hit.size])
+        posterior[hit] = np.exp(np.subtract(renewed, lse[:, None],
+                                            out=renewed), out=renewed)
+    return posterior.argmax(axis=1), posterior, rows.size
 
 
 def init_state(cfg: DetectorConfig) -> RunLengthState:
@@ -253,7 +306,7 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     predecessors. A changepoint is emitted at this step whenever the MAP run
     length breaks the previous MAP's continuation (gamma_t != gamma_{t-1}+1);
     ties at the argmax resolve to the smallest run length. This is the
-    batched kernel with a batch of one.
+    batched kernel on a 1x1x1 grid.
     """
     if not math.isfinite(x):
         raise ValidationError(f"observation at step {state.t + 1} is not finite")
@@ -261,33 +314,39 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     oldest = int(state.runs[-1])
     # table length: a power of two past the oldest run, capped at the
     # longest run length that pruning keeps
-    size = min(cfg.max_run_length + 1, 1 << oldest.bit_length())
-    tables = _prior_tables(cfg.prior.alpha, cfg.prior.kappa, size)
-    # runs are 0..n-1 unless pruning has cut into the middle
-    tables = _Tables(*tables[:, None, :n] if oldest == n - 1
-                     else tables[:, None, state.runs])
-    block = np.empty((3, 1, n + 1))
-    log_joint, mu, beta = block
-    log_joint[0, 1:], mu[0, 1:], beta[0, 1:] = (state.log_joint, state.mu,
-                                                state.beta)
+    stacked = _prior_tables(cfg.prior.alpha, cfg.prior.kappa,
+                            min(cfg.max_run_length + 1,
+                                1 << oldest.bit_length()))
+    # runs are 0..n-1 unless pruning has cut into the middle; each table is
+    # one row, which broadcasts as the 1x1x1 grid's
+    tables = _Tables(*stacked[:, :n] if oldest == n - 1
+                     else stacked[:, state.runs])
+    # the 1x1x1 grid's log_joint, mu and beta, then the kernel's work rows
+    block = np.empty((5, 1, 1, n + 1))
+    log_joint, mu, beta = block[0, 0], block[1, 0], block[2]
+    log_joint[0, 1:], mu[0, 1:], beta[0, 0, 1:] = (state.log_joint,
+                                                   state.mu, state.beta)
     runs = np.empty(n + 1, dtype=np.int64)
     runs[0] = 0
     np.add(state.runs, 1, out=runs[1:])
-    map_col, map_prob, pruned = _advance(x, log_joint, mu, beta, tables, runs,
-                                         cfg.prior.mu, cfg.prior.beta, cfg)
-    gamma = int(runs[map_col[0]])
+    map_col, posterior, pruned = _advance(
+        x, log_joint, mu, beta, tables, runs, cfg.prior.mu, cfg.prior.beta,
+        cfg, block[3:, 0, 0])
+    col = int(map_col[0])
+    gamma, map_prob = int(runs[col]), float(posterior[0, col])
+    log_joint, mu, beta = log_joint[0], mu[0], beta[0, 0]
     if pruned:
-        live = log_joint[0] > -math.inf
-        runs, log_joint, mu, beta = runs[live], log_joint[:, live], \
-            mu[:, live], beta[:, live]
+        live = log_joint > -math.inf
+        runs, log_joint, mu, beta = (runs[live], log_joint[live], mu[live],
+                                     beta[live])
     t = state.t + 1
-    new_state = RunLengthState(t=t, runs=runs, log_joint=log_joint[0],
-                               mu=mu[0], beta=beta[0], prev_gamma=gamma,
-                               map_probability=float(map_prob[0]))
+    new_state = RunLengthState(t=t, runs=runs, log_joint=log_joint, mu=mu,
+                               beta=beta, prev_gamma=gamma,
+                               map_probability=map_prob)
     changepoint = None
     if gamma != state.prev_gamma + 1:
         changepoint = Changepoint(ts=ts, step=t, map_run_length=gamma,
-                                  probability=float(map_prob[0]))
+                                  probability=map_prob)
     return new_state, changepoint
 
 
@@ -316,55 +375,66 @@ def detect_series(
     return changepoints, trace, state
 
 
-def detect_batch(series: MetricSeries, priors: Sequence[NGParams],
+def detect_batch(series: MetricSeries, alphas: Sequence[float],
+                 betas: Sequence[float], kappas: Sequence[float],
                  cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:
-    """Run one detector per prior over a series in a single vectorized pass.
+    """Run one detector per prior of the grid ``alphas`` x ``betas`` x
+    ``kappas`` over a series in a single vectorized pass.
 
-    The priors share ``cfg``'s hazard, pruning and predictive scale
-    (``cfg.prior`` is ignored). Each prior sees exactly the recursion of
-    :func:`step`; only the summation order inside the row log-sum-exps
-    differs. Returns a (B, T) mask of the steps that emit a changepoint, the
-    final run lengths (n,) and the final (B, n) log-joint block, in which a
+    The priors have mu = 0, as the tune grid pins it, and share ``cfg``'s
+    hazard, pruning and predictive scale (``cfg.prior`` is ignored). Rows
+    are in :func:`depegwatch.evaluation.grid_configs` order: alpha slowest,
+    kappa fastest. Each prior sees exactly the recursion of :func:`step`;
+    only the summation order inside the row log-sum-exps differs. Returns a
+    (priors, T) mask of the steps that emit a changepoint, the final run
+    lengths (n,) and the final (priors, n) log-joint block, in which a
     prior's pruned hypotheses are -inf.
 
-    Columns are indexed by start step, last step first, so no hypothesis
-    moves: at step t the fresh hypothesis takes column T - t and a column's
-    run length is its index minus T - t. Each step touches only the columns
-    up to the oldest hypothesis still live in any row.
+    The block is factored (see :func:`_advance`): the Normal-Gamma means
+    are kept per kappa, the rates per (beta, kappa) and the run-length
+    tables per alpha and (alpha, kappa). Columns are indexed by start step,
+    last step first, so no hypothesis moves: at step t the fresh hypothesis
+    takes column T - t and a column's run length is its index minus T - t.
+    Each step touches only the columns up to the oldest hypothesis still
+    live in any row.
     """
     values = series.values
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValidationError(
             f"observation at step {bad[0] + 1} is not finite")
-    n_priors, n_steps = len(priors), len(values)
-    prior_mu = np.array([p.mu for p in priors])
-    prior_beta = np.array([p.beta for p in priors])
-    tables = _run_tables(np.array([p.alpha for p in priors]),
-                         np.array([p.kappa for p in priors]),
+    n_steps = len(values)
+    n_priors = len(alphas) * len(betas) * len(kappas)
+    prior_beta = np.array(betas, dtype=float)[:, None]
+    tables = _run_tables(np.array(alphas, dtype=float),
+                         np.array(kappas, dtype=float),
                          max(min(n_steps, cfg.max_run_length + 1), 1))
     log_joint = np.full((n_priors, n_steps + 1), -math.inf)
-    mu = np.empty((n_priors, n_steps + 1))
-    beta = np.empty((n_priors, n_steps + 1))
+    mu = np.empty((len(kappas), n_steps + 1))
+    beta = np.empty((len(betas), len(kappas), n_steps + 1))
     log_joint[:, n_steps] = 0.0
-    mu[:, n_steps], beta[:, n_steps] = prior_mu, prior_beta
+    mu[:, n_steps], beta[..., n_steps] = 0.0, prior_beta
     all_runs = np.arange(n_steps + 1)
+    work = np.empty((2, log_joint.size))
     emits = np.zeros((n_priors, n_steps), dtype=bool)
     prev_gamma = np.zeros(n_priors, dtype=np.int64)
     lo, end = n_steps, n_steps + 1  # the live columns are lo..end-1
     for t in range(1, n_steps + 1):
         lo = n_steps - t
         width = end - lo
-        runs = all_runs[:width]
-        window = _Tables(*(table[:, :width - 1] for table in tables))
+        window = _Tables(*(table[..., :width - 1] for table in tables))
         map_col, _, _ = _advance(
             float(values[t - 1]), log_joint[:, lo:end], mu[:, lo:end],
-            beta[:, lo:end], window, runs, prior_mu, prior_beta, cfg)
+            beta[..., lo:end], window, all_runs[:width], 0.0, prior_beta,
+            cfg, work)
         emits[:, t - 1] = map_col != prev_gamma + 1
         prev_gamma = map_col
-        live = np.flatnonzero((log_joint[:, lo:end] > -math.inf).any(axis=0))
-        end = lo + int(live[-1]) + 1
+        # the window ends at its oldest column until every row lost it
+        if not (log_joint[:, end - 1] > -math.inf).any():
+            live = np.flatnonzero(
+                (log_joint[:, lo:end] > -math.inf).any(axis=0))
+            end = lo + int(live[-1]) + 1
     return emits, all_runs[:end - lo], log_joint[:, lo:end]
 
 
@@ -382,10 +452,10 @@ def state_to_dict(state: RunLengthState, cfg: DetectorConfig) -> dict:
         "t": state.t,
         "prev_gamma": state.prev_gamma,
         "map_probability": state.map_probability,
-        "runs": [int(r) for r in state.runs],
-        "log_joint": [float(v) for v in state.log_joint],
-        "mu": [float(v) for v in state.mu],
-        "beta": [float(v) for v in state.beta],
+        "runs": state.runs.tolist(),
+        "log_joint": state.log_joint.tolist(),
+        "mu": state.mu.tolist(),
+        "beta": state.beta.tolist(),
         "config": {
             "hazard_lambda": cfg.hazard_lambda,
             "prob_floor": cfg.prob_floor,

@@ -19,7 +19,8 @@ from .bocd import DetectorConfig, NGParams, detect_batch
 from .core import MetricSeries, Timestamp, ValidationError
 
 
-# (priors x steps) cells per batched detection in score_grid
+# (priors x steps) cells per batched detection in score_grid; a chunk is one
+# or more whole alpha slabs (every beta and kappa of its alphas)
 _BATCH_CELLS = 1 << 20
 
 GRID_BASE = 10.0
@@ -156,14 +157,14 @@ def lf_score(labels: Sequence[Timestamp], predictions: Sequence[Timestamp],
 def grid_configs(space: GridSpace | None = None) -> list[NGParams]:
     """All (alpha, beta, kappa) power combinations in deterministic
     (lexicographic exponent) order."""
-    space = space or GridSpace()
-    return [
-        NGParams(mu=0.0, alpha=GRID_BASE**i, beta=GRID_BASE**j,
-                 kappa=GRID_BASE**k)
-        for i in space.exponents
-        for j in space.exponents
-        for k in space.exponents
-    ]
+    axis = grid_axis(space)
+    return [NGParams(mu=0.0, alpha=alpha, beta=beta, kappa=kappa)
+            for alpha in axis for beta in axis for kappa in axis]
+
+
+def grid_axis(space: GridSpace | None = None) -> list[float]:
+    """The values that alpha, beta and kappa each take on the grid."""
+    return [GRID_BASE**i for i in (space or GridSpace()).exponents]
 
 
 def score_grid(
@@ -174,7 +175,7 @@ def score_grid(
     detector_cfg_base: DetectorConfig | None = None,
 ) -> list[ScoreReport]:
     """Score every grid prior, in grid order, from batched detections (one
-    unless the series is long).
+    unless the series is long; then each covers whole alpha slabs).
 
     Raises when the training slice contains no depeg labels (nothing to
     train against).
@@ -182,17 +183,20 @@ def score_grid(
     if not labels:
         raise ValidationError("no depegs in training slice")
     priors = grid_configs(space)
+    axis = grid_axis(space)
     scoring_cfg = scoring_cfg or ScoringConfig()
     base = detector_cfg_base or DetectorConfig()
     timestamps = train_series.timestamps
     reports: list[ScoreReport] = []
-    # priors in chunks, so that a long series keeps the blocks small
-    chunk = max(1, _BATCH_CELLS // (len(train_series) + 1))
-    for lo in range(0, len(priors), chunk):
-        emits, _, _ = detect_batch(train_series, priors[lo:lo + chunk], base)
+    # alphas in chunks, so that a long series keeps the blocks small
+    slab = len(axis) ** 2
+    chunk = max(1, _BATCH_CELLS // (slab * (len(train_series) + 1)))
+    for lo in range(0, len(axis), chunk):
+        emits, _, _ = detect_batch(train_series, axis[lo:lo + chunk], axis,
+                                   axis, base)
         reports += [lf_score(labels, timestamps[row].tolist(), scoring_cfg,
                              prior=prior)
-                    for prior, row in zip(priors[lo:lo + chunk], emits)]
+                    for prior, row in zip(priors[lo * slab:], emits)]
     return reports
 
 

@@ -11,6 +11,12 @@ the batched kernel in ``depegwatch.bocd`` replaced. It keeps the Normal-Gamma
 normaliser on every step, and serves as the reference for the batched
 ``tune`` and for version-1 state documents.
 
+``batch_detect`` is ``bocd.detect_batch`` from before its block was
+factored over the grid's axes: it takes a list of priors and keeps every
+quantity and every run-length table once per prior, merges pruned rows with
+``np.unique`` and scans the whole block for the live window every step.
+The factored kernel must equal it bit for bit.
+
 ``run_tables`` and ``pin_counts`` are ``bocd._run_tables`` and
 ``metrics._pin_counts`` from before the library computed log Gamma with its
 own port of cephes ``lgam``: they call ``scipy.special.gammaln`` on every
@@ -335,8 +341,10 @@ def _t_logpdf_arrays(x, mu, alpha, beta, kappa, scale_mode):
 
 
 def run_tables(alpha0: np.ndarray, kappa0: np.ndarray, n: int):
-    """The seven (prior x run length) tables of ``bocd._run_tables``, the
-    Student-t normaliser from ``gammaln`` on every entry."""
+    """The seven (prior x run length) tables that ``bocd._run_tables`` built
+    one row per prior before the block was factored, the Student-t
+    normaliser from ``gammaln`` on every entry: kappa_r, kappa_{r+1},
+    alpha_r * kappa_r, nu_r, nu_r * pi, (nu_r + 1) / 2, log normaliser."""
     def grown(start, inc, size):
         steps = np.full((start.size, size), inc)
         steps[:, 0] = start
@@ -492,6 +500,89 @@ def scalar_tune(train_series: MetricSeries, labels: Sequence[int],
             prior=report.prior,
             note="no configuration scored above zero; returned tie-break minimum")
     return prior, report, runs
+
+
+def _row_lse(values: np.ndarray) -> np.ndarray:
+    peak = values.max(axis=1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    return peak[:, 0] + np.log(np.exp(values - peak).sum(axis=1))
+
+
+def _batch_advance(x, log_joint, mu, beta, tables, runs, prior_mu,
+                   prior_beta, cfg):
+    """One step of B detectors, every quantity one row per prior; returns
+    each row's MAP column."""
+    kappa, kappa1, alpha_kappa, nu, nu_pi, half_nu1, log_norm = tables
+    h = hazard(cfg)
+    m, b = mu[:, 1:], beta[:, 1:]
+    if cfg.predictive_scale == "paper":
+        sigma_sq = b / alpha_kappa
+    else:
+        sigma_sq = b * kappa1 / alpha_kappa
+    dev_sq = (x - m) ** 2
+    log_pred = (log_norm - 0.5 * np.log(nu_pi * sigma_sq)
+                - half_nu1 * np.log1p(dev_sq / (nu * sigma_sq)))
+    weighted = log_joint[:, 1:] + log_pred
+    log_joint[:, 0] = _row_lse(weighted) + math.log(h)
+    np.add(weighted, math.log1p(-h), out=log_joint[:, 1:])
+    b += kappa * dev_sq / (2.0 * kappa1)
+    m[...] = (kappa * m + x) / kappa1
+    mu[:, 0] = prior_mu
+    beta[:, 0] = prior_beta
+
+    posterior = np.exp(log_joint - _row_lse(log_joint)[:, None])
+    drop = posterior < cfg.prob_floor
+    drop[:, runs > cfg.max_run_length] = True
+    drop[:, 0] = False
+    drop &= log_joint > -math.inf
+    rows, cols = np.nonzero(drop)
+    if rows.size:
+        dropped = log_joint[rows, cols]
+        log_joint[rows, cols] = -math.inf
+        hit, first, count = np.unique(rows, return_index=True,
+                                      return_counts=True)
+        peak = np.maximum.reduceat(dropped, first)
+        mass = peak + np.log(np.add.reduceat(
+            np.exp(dropped - np.repeat(peak, count)), first))
+        log_joint[hit, 0] = np.logaddexp(log_joint[hit, 0], mass)
+        posterior[hit] = np.exp(
+            log_joint[hit] - _row_lse(log_joint[hit])[:, None])
+    return posterior.argmax(axis=1)
+
+
+def batch_detect(series: MetricSeries, priors: Sequence[NGParams],
+                 cfg: DetectorConfig):
+    """(emits, runs, log_joint) of one detector per prior, as
+    ``bocd.detect_batch`` returns them, over a (prior x run length) block
+    with every quantity and table kept per prior."""
+    values = series.values
+    n_priors, n_steps = len(priors), len(values)
+    prior_mu = np.array([p.mu for p in priors])
+    prior_beta = np.array([p.beta for p in priors])
+    tables = run_tables(np.array([p.alpha for p in priors]),
+                        np.array([p.kappa for p in priors]),
+                        max(min(n_steps, cfg.max_run_length + 1), 1))
+    log_joint = np.full((n_priors, n_steps + 1), -math.inf)
+    mu = np.empty((n_priors, n_steps + 1))
+    beta = np.empty((n_priors, n_steps + 1))
+    log_joint[:, n_steps] = 0.0
+    mu[:, n_steps], beta[:, n_steps] = prior_mu, prior_beta
+    all_runs = np.arange(n_steps + 1)
+    emits = np.zeros((n_priors, n_steps), dtype=bool)
+    prev_gamma = np.zeros(n_priors, dtype=np.int64)
+    lo, end = n_steps, n_steps + 1
+    for t in range(1, n_steps + 1):
+        lo = n_steps - t
+        width = end - lo
+        map_col = _batch_advance(
+            float(values[t - 1]), log_joint[:, lo:end], mu[:, lo:end],
+            beta[:, lo:end], [table[:, :width - 1] for table in tables],
+            all_runs[:width], prior_mu, prior_beta, cfg)
+        emits[:, t - 1] = map_col != prev_gamma + 1
+        prev_gamma = map_col
+        live = np.flatnonzero((log_joint[:, lo:end] > -math.inf).any(axis=0))
+        end = lo + int(live[-1]) + 1
+    return emits, all_runs[:end - lo], log_joint[:, lo:end]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from depegwatch.core import (
 from depegwatch.evaluation import (
     GridSpace,
     ScoringConfig,
+    grid_axis,
     grid_configs,
     label_depegs,
     lf_score,
@@ -46,7 +47,11 @@ from depegwatch.stableswap import (
     invariant_residual,
     virtual_price,
 )
-from oracles import brute_force_run_length_posteriors, generate_pin_buckets
+from oracles import (
+    batch_detect,
+    brute_force_run_length_posteriors,
+    generate_pin_buckets,
+)
 
 PP = "posterior_predictive"
 USDX, USDY = TokenId("USDX"), TokenId("USDY")
@@ -274,6 +279,24 @@ def test_criterion_6_end_to_end_scenario():
     _ok(6, f"{len(test_labels)} labels; leading detectors {leading} "
            f"(seconds before the {first_crossing}s crossing); lF "
            f"{positive_lf}; {elapsed:.0f}s")
+
+
+def test_full_grid_detection_equals_unfactored_oracle():
+    # the factored kernel over all 1000 priors on criterion 6's 336-step
+    # netSwapFlow training series, bit for bit
+    output = run_scenario(_scenario(seed=777, depeg_day=8))
+    series = _raw_metric(output, "netSwapFlow", PriceTable(output.prices))
+    series = standardize(series, *fit_stats(series))
+    assert len(series) == 336
+    cfg = bocd.DetectorConfig(predictive_scale=PP)
+    axis = grid_axis(GridSpace())
+    emits, runs, log_joint = bocd.detect_batch(series, axis, axis, axis, cfg)
+    want_emits, want_runs, want_lj = batch_detect(series, grid_configs(),
+                                                  cfg)
+    assert np.array_equal(emits, want_emits)
+    assert np.array_equal(runs, want_runs)
+    assert log_joint.shape == want_lj.shape
+    assert np.array_equal(log_joint.view(np.int64), want_lj.view(np.int64))
 
 
 def test_criterion_7_determinism_and_resume(tmp_path):

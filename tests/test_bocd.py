@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from depegwatch import bocd
 from depegwatch.bocd import (
     Changepoint,
     DetectorConfig,
@@ -23,8 +24,9 @@ from depegwatch.bocd import (
     step,
 )
 from depegwatch.core import MetricSeries, ValidationError
-from depegwatch.evaluation import grid_configs
+from depegwatch.evaluation import GridSpace, grid_axis, grid_configs
 from oracles import (
+    batch_detect,
     brute_force_run_length_posteriors,
     ng_update,
     run_tables,
@@ -288,6 +290,21 @@ class TestStatePersistence:
         assert trace1 + trace2 == whole_trace
         assert np.array_equal(end_state.log_joint, whole_state.log_joint)
 
+    def test_dict_equals_per_element_form(self):
+        # a long state whose runs were pruned in the middle
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([rng.normal(0, 1, 2000), rng.normal(4, 1, 5),
+                             rng.normal(0, 1, 1000)])
+        cfg = DetectorConfig(predictive_scale=PP)
+        _, _, state = detect_series(make_series(xs), cfg)
+        assert state.runs.size > 1000
+        assert state.runs[-1] + 1 > state.runs.size
+        doc = state_to_dict(state, cfg)
+        per_element = dict(doc, runs=[int(r) for r in state.runs], **{
+            key: [float(v) for v in getattr(state, key)]
+            for key in ("log_joint", "mu", "beta")})
+        assert json.dumps(doc) == json.dumps(per_element)
+
     def test_version_two_omits_alpha_and_kappa(self):
         cfg = DetectorConfig()
         state, _ = step(init_state(cfg), 0.5, cfg)
@@ -338,10 +355,15 @@ class TestDetectBatch:
         series = make_series(np.concatenate([rng.normal(0, 1, 60),
                                              rng.normal(4, 1, 40)]))
         cfg = DetectorConfig(predictive_scale=PP)
-        priors = [NGParams(0.0, 1.0, 1.0, 1.0), NGParams(0.0, 0.1, 10.0, 0.1),
-                  NGParams(0.0, 10.0, 0.1, 10.0)]
-        emits, runs, log_joint = detect_batch(series, priors, cfg)
-        assert emits.shape == (3, 100)
+        # the grid of three priors' values: (1, 1, 1), (0.1, 10, 0.1) and
+        # (10, 0.1, 10) among its 27
+        alphas, betas, kappas = [1.0, 0.1, 10.0], [1.0, 10.0, 0.1], \
+            [1.0, 0.1, 10.0]
+        priors = [NGParams(0.0, a, b, k)
+                  for a in alphas for b in betas for k in kappas]
+        emits, runs, log_joint = detect_batch(series, alphas, betas, kappas,
+                                              cfg)
+        assert emits.shape == (27, 100)
         for prior, row, lj in zip(priors, emits, log_joint):
             cps, _, state = detect_series(series, DetectorConfig(
                 prior=prior, predictive_scale=PP))
@@ -352,45 +374,108 @@ class TestDetectBatch:
 
     def test_empty_series(self):
         emits, runs, log_joint = detect_batch(
-            make_series([]), [NGParams(0.0, 1.0, 1.0, 1.0)], DetectorConfig())
+            make_series([]), [1.0], [1.0], [1.0], DetectorConfig())
         assert emits.shape == (1, 0)
         assert runs.tolist() == [0] and log_joint.tolist() == [[0.0]]
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="step 2"):
-            detect_batch(make_series([0.1, math.inf, 0.2]),
-                         [NGParams(0.0, 1.0, 1.0, 1.0)], DetectorConfig())
+            detect_batch(make_series([0.1, math.inf, 0.2]), [1.0], [1.0],
+                         [1.0], DetectorConfig())
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_equals_unfactored_oracle(self, data):
+        # bit for bit: the factored block forms every value with the same
+        # operations in the same order as one row per prior
+        axis = st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=3)
+        alphas, betas, kappas = data.draw(axis), data.draw(axis), \
+            data.draw(axis)
+        values = data.draw(st.lists(st.floats(-6.0, 6.0), max_size=30))
+        shift = data.draw(st.floats(-8.0, 8.0))
+        cut = data.draw(st.integers(0, len(values)))
+        series = make_series([v + shift * (k >= cut)
+                              for k, v in enumerate(values)])
+        pruning = data.draw(st.sampled_from([
+            {}, {"prob_floor": 0.0},
+            {"prob_floor": 0.0, "max_run_length": 4},
+            {"max_run_length": 7}]))
+        cfg = DetectorConfig(
+            hazard_lambda=data.draw(st.sampled_from([3.0, 20.0, 100.0])),
+            predictive_scale=data.draw(st.sampled_from(["paper", PP])),
+            **pruning)
+        emits, runs, log_joint = detect_batch(series, alphas, betas, kappas,
+                                              cfg)
+        want_emits, want_runs, want_lj = batch_detect(
+            series, [NGParams(0.0, a, b, k)
+                     for a in alphas for b in betas for k in kappas], cfg)
+        assert np.array_equal(emits, want_emits)
+        assert np.array_equal(runs, want_runs)
+        assert log_joint.shape == want_lj.shape
+        assert np.array_equal(log_joint.view(np.int64),
+                              want_lj.view(np.int64))
+
+
+class TestPriorTables:
+    def test_repeated_detections_build_no_tables(self, monkeypatch):
+        # one table per (alpha, kappa), grown by doubling: a second round
+        # over 27 priors (9 distinct (alpha, kappa)) finds every table kept
+        series = make_series(np.random.default_rng(8).normal(0, 1, 300))
+        built = []
+        run_tables_ = bocd._run_tables
+
+        def counted(*args):
+            built.append(args[2])
+            return run_tables_(*args)
+
+        monkeypatch.setattr(bocd, "_run_tables", counted)
+        rounds = []
+        for _ in range(2):
+            built.clear()
+            outputs = []
+            for prior in grid_configs(GridSpace((-1, 1))):
+                cps, trace, state = detect_series(series, DetectorConfig(
+                    prior=prior, predictive_scale=PP))
+                outputs.append((cps, trace, state.t, state.prev_gamma,
+                                state.map_probability, state.runs.tolist(),
+                                state.log_joint.tolist(), state.mu.tolist(),
+                                state.beta.tolist()))
+            rounds.append(repr(outputs))
+        assert built == []
+        assert rounds[0] == rounds[1]
 
 
 class TestRunTables:
-    """All seven tables against the scipy ``gammaln`` oracle, bit for bit."""
+    """All eight factored tables against the per-prior scipy ``gammaln``
+    oracle, bit for bit."""
 
     @staticmethod
-    def assert_tables_equal(alpha0, kappa0, n):
-        alpha0, kappa0 = np.asarray(alpha0), np.asarray(kappa0)
-        got = _run_tables(alpha0, kappa0, n)
-        for name, table, ref in zip(got._fields, got,
-                                    run_tables(alpha0, kappa0, n)):
-            assert table.shape == (alpha0.size, n), name
-            np.testing.assert_array_equal(table.view(np.int64),
+    def assert_tables_equal(alphas, kappas, n):
+        alphas, kappas = np.asarray(alphas), np.asarray(kappas)
+        got = _run_tables(alphas, kappas, n)
+        # the oracle has one row per (alpha, kappa), alpha slowest
+        kappa, kappa1, *rest = run_tables(np.repeat(alphas, kappas.size),
+                                          np.tile(kappas, alphas.size), n)
+        want = (kappa, kappa1, 2.0 * kappa1, *rest)
+        for name, table, ref in zip(got._fields, got, want):
+            assert table.shape[-1] == n, name
+            full = np.broadcast_to(table, (alphas.size, 1, kappas.size, n))
+            np.testing.assert_array_equal(full.reshape(-1, n).view(np.int64),
                                           ref.view(np.int64), err_msg=name)
 
     def test_full_grid(self):
-        # every prior of the tune grid at 512 run lengths, then each
-        # distinct (alpha, kappa) at the 5001 of max_run_length's default
-        priors = grid_configs()
-        self.assert_tables_equal([p.alpha for p in priors],
-                                 [p.kappa for p in priors], 512)
-        pairs = sorted({(p.alpha, p.kappa) for p in priors})
-        self.assert_tables_equal(*zip(*pairs), 5001)
+        # the tune grid's axes at 512 run lengths, then at the 5001 of
+        # max_run_length's default
+        axis = grid_axis()
+        self.assert_tables_equal(axis, axis, 512)
+        self.assert_tables_equal(axis, axis, 5001)
 
     @settings(max_examples=60, deadline=None)
     @given(alphas=st.lists(st.floats(5e-324, 1e10), min_size=1, max_size=4),
            kappa=st.floats(1e-6, 1e6), n=st.integers(1, 300))
     def test_odd_alphas(self, alphas, kappa, n):
-        # repeated alphas share one gammaln row
-        alpha0 = alphas + alphas[::-1]
-        self.assert_tables_equal(alpha0, [kappa] * len(alpha0), n)
+        # a repeated alpha gets equal rows
+        self.assert_tables_equal(alphas + alphas[::-1], [kappa], n)
 
 
 class TestLogSumExp:

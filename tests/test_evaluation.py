@@ -9,6 +9,7 @@ from depegwatch.core import MetricSeries, ValidationError
 from depegwatch.evaluation import (
     GridSpace,
     ScoringConfig,
+    grid_axis,
     grid_configs,
     label_depegs,
     lf_score,
@@ -264,7 +265,8 @@ class TestBatchedTune:
         assert prior == want_prior
         assert report == want_report
 
-        emits, runs, log_joint = detect_batch(train, grid_configs(space), base)
+        axis = grid_axis(space)
+        emits, runs, log_joint = detect_batch(train, axis, axis, axis, base)
         for row, got_lj, (steps, final) in zip(emits, log_joint, per_prior):
             assert (np.flatnonzero(row) + 1).tolist() == steps
             live = got_lj > -np.inf
@@ -277,9 +279,18 @@ class TestBatchedTune:
         rng = np.random.default_rng(3)
         data = series(np.concatenate([rng.normal(0, 1, 30),
                                       rng.normal(5, 1, 10)]))
-        space = GridSpace((-1, 0))
+        space = GridSpace((-1, 1))
         labels = [int(data.timestamps[31])]
         reports = score_grid(data, labels, space)
         assert [r.prior for r in reports] == grid_configs(space)
-        monkeypatch.setattr(evaluation, "_BATCH_CELLS", 3 * len(data))
+        chunks = []
+
+        def recorded(train, alphas, betas, kappas, cfg):
+            chunks.append(alphas)
+            return detect_batch(train, alphas, betas, kappas, cfg)
+
+        # one alpha slab (3 x 3 priors) per chunk
+        monkeypatch.setattr(evaluation, "_BATCH_CELLS", 9 * (len(data) + 1))
+        monkeypatch.setattr(evaluation, "detect_batch", recorded)
         assert score_grid(data, labels, space) == reports
+        assert chunks == [[0.1], [1.0], [10.0]]
