@@ -191,18 +191,16 @@ def _prior_tables(alpha0: float, kappa0: float, size: int) -> np.ndarray:
     return stacked
 
 
-def _row_lse(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Row-wise log_sum_exp of a (B, n) array; -inf for all -inf rows. The
-    shifted exponentials go to ``scratch``, a (B, n) array."""
+def _row_lse(values: np.ndarray) -> np.ndarray:
+    """Row-wise log_sum_exp of a (B, n) array; -inf for all -inf rows."""
     peak = values.max(axis=1, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
-    shifted = np.subtract(values, peak, out=scratch)
-    return peak[:, 0] + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+    return peak[:, 0] + np.log(np.exp(values - peak).sum(axis=1))
 
 
 def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
              beta: np.ndarray, tables: _Tables, runs: np.ndarray,
-             prior_mu, prior_beta, cfg: DetectorConfig, work: np.ndarray):
+             prior_mu, prior_beta, cfg: DetectorConfig):
     """Advance a factored block of detectors that share ``cfg`` by one
     observation, in place.
 
@@ -213,53 +211,32 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
     (B, K, n + 1) each (beta, kappa)'s rates. Columns 1..n hold hypotheses
     that ``tables`` describe (see :class:`_Tables`); column 0 receives the
     fresh run-length-zero hypothesis, with ``prior_mu`` and ``prior_beta``
-    (broadcast to (K,) and (B, K)). Every value equals the one that a
-    block with one row of each quantity per prior would compute. ``runs``
-    holds every column's run length after the step, ascending. Pruned
-    hypotheses become -inf and their mass moves to run length zero.
-
-    The block-sized intermediates are written in place into ``work``, a
-    (2, m) array with m >= ``log_joint.size``, so that a pass does not
-    allocate and fault in fresh pages every step; each is formed by the
-    same operations in the same order as its one-expression form. Returns
-    each row's MAP column (first maximum, so the smallest run length wins
-    ties), the posterior block (a view into ``work``) and the number of
-    hypotheses pruned.
+    (broadcast to (K,) and (B, K)). Broadcasting forms every value with the
+    same operations in the same order as a block with one row of each
+    quantity per prior, so every float equals that block's. ``runs`` holds
+    every column's run length after the step, ascending. Pruned hypotheses
+    become -inf and their mass moves to run length zero. Returns each row's
+    MAP column (first maximum, so the smallest run length wins ties), the
+    posterior block and the number of hypotheses pruned.
     """
     h = hazard(cfg)
-    size, n = log_joint.shape[0], log_joint.shape[1] - 1
     m, b = mu[..., 1:], beta[..., 1:]
-    # the grid's alpha axis, if the tables have one, ahead of beta's (B, K, n)
-    shape = tables.alpha_kappa.shape[:-3] + b.shape
-    log_pred = work[0, :size * n].reshape(shape)
-    sigma_sq = work[1, :size * n].reshape(shape)
-    np.divide(b if cfg.predictive_scale == "paper" else b * tables.kappa1,
-              tables.alpha_kappa, out=sigma_sq)
+    if cfg.predictive_scale == "paper":
+        sigma_sq = b / tables.alpha_kappa
+    else:
+        sigma_sq = b * tables.kappa1 / tables.alpha_kappa
     dev_sq = (x - m) ** 2
-    # log_norm - 0.5 * log(nu_pi * sigma_sq)
-    #     - half_nu1 * log1p(dev_sq / (nu * sigma_sq))
-    np.log(np.multiply(tables.nu_pi, sigma_sq, out=log_pred), out=log_pred)
-    log_pred *= 0.5
-    np.subtract(tables.log_norm, log_pred, out=log_pred)
-    z_sq = np.multiply(tables.nu, sigma_sq, out=sigma_sq)
-    np.log1p(np.divide(dev_sq, z_sq, out=z_sq), out=z_sq)
-    log_pred -= np.multiply(tables.half_nu1, z_sq, out=z_sq)
-    weighted = log_pred.reshape(size, n)
-    weighted += log_joint[:, 1:]
-    # sigma_sq's work row is free again
-    log_joint[:, 0] = (_row_lse(weighted, sigma_sq.reshape(size, n))
-                       + math.log(h))
+    log_pred = (tables.log_norm - 0.5 * np.log(tables.nu_pi * sigma_sq)
+                - tables.half_nu1 * np.log1p(dev_sq / (tables.nu * sigma_sq)))
+    weighted = log_joint[:, 1:] + log_pred.reshape(log_joint.shape[0], -1)
+    log_joint[:, 0] = _row_lse(weighted) + math.log(h)
     np.add(weighted, math.log1p(-h), out=log_joint[:, 1:])
     b += tables.kappa * dev_sq / tables.two_kappa1
     m[...] = (tables.kappa * m + x) / tables.kappa1
     mu[..., 0] = prior_mu
     beta[..., 0] = prior_beta
 
-    posterior = work[0, :log_joint.size].reshape(log_joint.shape)
-    scratch = work[1, :log_joint.size].reshape(log_joint.shape)
-    np.subtract(log_joint, _row_lse(log_joint, scratch)[:, None],
-                out=posterior)
-    np.exp(posterior, out=posterior)
+    posterior = np.exp(log_joint - _row_lse(log_joint)[:, None])
     drop = posterior < cfg.prob_floor
     if runs[-1] > cfg.max_run_length:
         drop[:, runs > cfg.max_run_length] = True
@@ -279,9 +256,7 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
             np.exp(dropped - peak[np.cumsum(starts) - 1]), first))
         log_joint[hit, 0] = np.logaddexp(log_joint[hit, 0], mass)
         renewed = log_joint[hit]
-        lse = _row_lse(renewed, scratch[:hit.size])
-        posterior[hit] = np.exp(np.subtract(renewed, lse[:, None],
-                                            out=renewed), out=renewed)
+        posterior[hit] = np.exp(renewed - _row_lse(renewed)[:, None])
     return posterior.argmax(axis=1), posterior, rows.size
 
 
@@ -321,8 +296,8 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     # one row, which broadcasts as the 1x1x1 grid's
     tables = _Tables(*stacked[:, :n] if oldest == n - 1
                      else stacked[:, state.runs])
-    # the 1x1x1 grid's log_joint, mu and beta, then the kernel's work rows
-    block = np.empty((5, 1, 1, n + 1))
+    # the 1x1x1 grid's log_joint, mu and beta
+    block = np.empty((3, 1, 1, n + 1))
     log_joint, mu, beta = block[0, 0], block[1, 0], block[2]
     log_joint[0, 1:], mu[0, 1:], beta[0, 0, 1:] = (state.log_joint,
                                                    state.mu, state.beta)
@@ -331,7 +306,7 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     np.add(state.runs, 1, out=runs[1:])
     map_col, posterior, pruned = _advance(
         x, log_joint, mu, beta, tables, runs, cfg.prior.mu, cfg.prior.beta,
-        cfg, block[3:, 0, 0])
+        cfg)
     col = int(map_col[0])
     gamma, map_prob = int(runs[col]), float(posterior[0, col])
     log_joint, mu, beta = log_joint[0], mu[0], beta[0, 0]
@@ -416,7 +391,6 @@ def detect_batch(series: MetricSeries, alphas: Sequence[float],
     log_joint[:, n_steps] = 0.0
     mu[:, n_steps], beta[..., n_steps] = 0.0, prior_beta
     all_runs = np.arange(n_steps + 1)
-    work = np.empty((2, log_joint.size))
     emits = np.zeros((n_priors, n_steps), dtype=bool)
     prev_gamma = np.zeros(n_priors, dtype=np.int64)
     lo, end = n_steps, n_steps + 1  # the live columns are lo..end-1
@@ -427,7 +401,7 @@ def detect_batch(series: MetricSeries, alphas: Sequence[float],
         map_col, _, _ = _advance(
             float(values[t - 1]), log_joint[:, lo:end], mu[:, lo:end],
             beta[..., lo:end], window, all_runs[:width], 0.0, prior_beta,
-            cfg, work)
+            cfg)
         emits[:, t - 1] = map_col != prev_gamma + 1
         prev_gamma = map_col
         # the window ends at its oldest column until every row lost it

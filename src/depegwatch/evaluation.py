@@ -20,7 +20,8 @@ from .core import MetricSeries, Timestamp, ValidationError
 
 
 # (priors x steps) cells per batched detection in score_grid; a chunk is one
-# or more whole alpha slabs (every beta and kappa of its alphas)
+# or more whole alpha slabs (every beta and kappa of its alphas), or, when
+# one slab is over budget, one alpha with a range of betas and every kappa
 _BATCH_CELLS = 1 << 20
 
 GRID_BASE = 10.0
@@ -175,7 +176,8 @@ def score_grid(
     detector_cfg_base: DetectorConfig | None = None,
 ) -> list[ScoreReport]:
     """Score every grid prior, in grid order, from batched detections (one
-    unless the series is long; then each covers whole alpha slabs).
+    unless the series is long; then each covers whole alpha slabs, or part
+    of one alpha's slab).
 
     Raises when the training slice contains no depeg labels (nothing to
     train against).
@@ -188,15 +190,21 @@ def score_grid(
     base = detector_cfg_base or DetectorConfig()
     timestamps = train_series.timestamps
     reports: list[ScoreReport] = []
-    # alphas in chunks, so that a long series keeps the blocks small
-    slab = len(axis) ** 2
-    chunk = max(1, _BATCH_CELLS // (slab * (len(train_series) + 1)))
-    for lo in range(0, len(axis), chunk):
-        emits, _, _ = detect_batch(train_series, axis[lo:lo + chunk], axis,
-                                   axis, base)
+    # (alpha, beta) pairs per chunk, so that a long series keeps the blocks
+    # small; each chunk is a grid whose rows continue grid order
+    n = len(axis)
+    pairs = max(1, _BATCH_CELLS // (n * (len(train_series) + 1)))
+    if pairs >= n:
+        chunks = [(axis[lo:lo + pairs // n], axis)
+                  for lo in range(0, n, pairs // n)]
+    else:
+        chunks = [([alpha], axis[lo:lo + pairs])
+                  for alpha in axis for lo in range(0, n, pairs)]
+    for alphas, betas in chunks:
+        emits, _, _ = detect_batch(train_series, alphas, betas, axis, base)
         reports += [lf_score(labels, timestamps[row].tolist(), scoring_cfg,
                              prior=prior)
-                    for prior, row in zip(priors[lo * slab:], emits)]
+                    for prior, row in zip(priors[len(reports):], emits)]
     return reports
 
 

@@ -286,11 +286,18 @@ class TestBatchedTune:
         chunks = []
 
         def recorded(train, alphas, betas, kappas, cfg):
-            chunks.append(alphas)
+            chunks.append((alphas, betas))
             return detect_batch(train, alphas, betas, kappas, cfg)
 
+        monkeypatch.setattr(evaluation, "detect_batch", recorded)
+        axis = [0.1, 1.0, 10.0]
         # one alpha slab (3 x 3 priors) per chunk
         monkeypatch.setattr(evaluation, "_BATCH_CELLS", 9 * (len(data) + 1))
-        monkeypatch.setattr(evaluation, "detect_batch", recorded)
         assert score_grid(data, labels, space) == reports
-        assert chunks == [[0.1], [1.0], [10.0]]
+        assert chunks == [([alpha], axis) for alpha in axis]
+        # under one slab: at most two betas (2 x 3 priors) per chunk
+        chunks.clear()
+        monkeypatch.setattr(evaluation, "_BATCH_CELLS", 8 * (len(data) + 1))
+        assert score_grid(data, labels, space) == reports
+        assert chunks == [([alpha], betas) for alpha in axis
+                          for betas in (axis[:2], axis[2:])]

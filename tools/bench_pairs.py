@@ -13,7 +13,7 @@ prints each side's median and quartiles and in how many pairs the change
 was better (ties count for neither side). Which way is better comes from
 ``BENCHMARK.json`` in the change's checkout; a metric it does not declare is
 better lower if its unit is a time and higher if it is a rate, and gets no
-count otherwise. ``--out`` writes every run's values as JSON.
+count otherwise.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=24.0)
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     better = directions(args.change)
 
@@ -101,13 +100,6 @@ def main(argv: list[str] | None = None) -> int:
                    f"/{args.pairs} {way}"
         print(f"{name} ({unit}): parent {summary(old)}  change "
               f"{summary(new)}  change better in {wins}")
-    if args.out:
-        args.out.write_text(json.dumps(
-            {"workload": args.workload, "seed": args.seed,
-             "seconds": args.seconds, "scale": args.scale,
-             "runs": {side: [{k: v for k, (v, _) in run.items()}
-                             for run in side_runs]
-                      for side, side_runs in runs.items()}}, indent=1) + "\n")
     return 0
 
 
