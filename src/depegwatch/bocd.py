@@ -4,7 +4,9 @@ The detector tracks the posterior over run lengths (steps since the last
 changepoint) under a constant hazard. Each run-length hypothesis carries
 Normal-Gamma parameters updated by conjugacy; the one-step predictive is a
 Student-t. All mass arithmetic happens in log space, since run lengths in
-the thousands underflow linear space.
+the thousands underflow linear space: pruning compares each log-joint with
+the step's normaliser plus log(prob_floor), and the MAP run length is the
+log-joint's argmax.
 
 One kernel advances a block of detectors that share hazard, pruning and
 predictive scale but not their prior. The block is factored over the prior
@@ -34,19 +36,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import MetricSeries, Timestamp, ValidationError, from_json, gammaln
+from .core import (MetricSeries, NumericalError, Timestamp, ValidationError,
+                   from_json, gammaln)
 
 PREDICTIVE_SCALES = ("paper", "posterior_predictive")
-
-
-def log_sum_exp(values: np.ndarray) -> float:
-    """Stable log(sum(exp(values))) for 1-d arrays; -inf for empty input."""
-    if values.size == 0:
-        return -math.inf
-    peak = values.max()
-    if not math.isfinite(peak):
-        return float(peak)
-    return float(peak + math.log(np.exp(values - peak).sum()))
 
 
 @dataclass(frozen=True)
@@ -102,9 +95,6 @@ class RunLengthState:
     beta: NDArray[np.float64]
     prev_gamma: int
     map_probability: float = 1.0  # posterior of the MAP run length at step t
-
-    def posterior(self) -> np.ndarray:
-        return np.exp(self.log_joint - log_sum_exp(self.log_joint))
 
 
 class Changepoint(NamedTuple):
@@ -192,17 +182,16 @@ def _prior_tables(alpha0: float, kappa0: float, size: int) -> np.ndarray:
 
 
 def _row_lse(values: np.ndarray) -> np.ndarray:
-    """Row-wise log_sum_exp of a (B, n) array; -inf for all -inf rows."""
+    """Row-wise log(sum(exp(values))); each row needs a finite maximum."""
     peak = values.max(axis=1, keepdims=True)
-    peak[~np.isfinite(peak)] = 0.0
     return peak[:, 0] + np.log(np.exp(values - peak).sum(axis=1))
 
 
 def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
              beta: np.ndarray, tables: _Tables, runs: np.ndarray,
-             prior_mu, prior_beta, cfg: DetectorConfig):
+             prior_mu, prior_beta, cfg: DetectorConfig, t: int):
     """Advance a factored block of detectors that share ``cfg`` by one
-    observation, in place.
+    observation, the ``t``-th, in place.
 
     The block's rows are the priors of an (alpha, beta, kappa) grid in C
     order, A x B x K of them, all with one prior mean. ``log_joint`` is
@@ -214,10 +203,14 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
     (broadcast to (K,) and (B, K)). Broadcasting forms every value with the
     same operations in the same order as a block with one row of each
     quantity per prior, so every float equals that block's. ``runs`` holds
-    every column's run length after the step, ascending. Pruned hypotheses
-    become -inf and their mass moves to run length zero. Returns each row's
-    MAP column (first maximum, so the smallest run length wins ties), the
-    posterior block and the number of hypotheses pruned.
+    every column's run length after the step, ascending. A hypothesis
+    below the row's normaliser ``lse`` plus log(prob_floor), or past
+    ``max_run_length``, is pruned: it becomes -inf and its mass moves to run
+    length zero (``lse`` stays the row's total, since the step splits it
+    into h and 1 - h and pruning only moves mass). Returns each row's MAP
+    column after pruning (first maximum of the log-joint, so the smallest
+    run length wins ties) and the number pruned; raises
+    :class:`NumericalError` if some row's ``lse`` is not finite.
     """
     h = hazard(cfg)
     m, b = mu[..., 1:], beta[..., 1:]
@@ -229,15 +222,18 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
     log_pred = (tables.log_norm - 0.5 * np.log(tables.nu_pi * sigma_sq)
                 - tables.half_nu1 * np.log1p(dev_sq / (tables.nu * sigma_sq)))
     weighted = log_joint[:, 1:] + log_pred.reshape(log_joint.shape[0], -1)
-    log_joint[:, 0] = _row_lse(weighted) + math.log(h)
+    lse = _row_lse(weighted)
+    if not np.isfinite(lse).all():
+        raise NumericalError(f"observation at step {t}: no finite likelihood")
+    log_joint[:, 0] = lse + math.log(h)
     np.add(weighted, math.log1p(-h), out=log_joint[:, 1:])
     b += tables.kappa * dev_sq / tables.two_kappa1
     m[...] = (tables.kappa * m + x) / tables.kappa1
     mu[..., 0] = prior_mu
     beta[..., 0] = prior_beta
 
-    posterior = np.exp(log_joint - _row_lse(log_joint)[:, None])
-    drop = posterior < cfg.prob_floor
+    log_floor = math.log(cfg.prob_floor) if cfg.prob_floor else -math.inf
+    drop = log_joint < (lse + log_floor)[:, None]
     if runs[-1] > cfg.max_run_length:
         drop[:, runs > cfg.max_run_length] = True
     drop[:, 0] = False
@@ -255,9 +251,7 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
         mass = peak + np.log(np.add.reduceat(
             np.exp(dropped - peak[np.cumsum(starts) - 1]), first))
         log_joint[hit, 0] = np.logaddexp(log_joint[hit, 0], mass)
-        renewed = log_joint[hit]
-        posterior[hit] = np.exp(renewed - _row_lse(renewed)[:, None])
-    return posterior.argmax(axis=1), posterior, rows.size
+    return log_joint.argmax(axis=1), rows.size
 
 
 def init_state(cfg: DetectorConfig) -> RunLengthState:
@@ -304,17 +298,17 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     runs = np.empty(n + 1, dtype=np.int64)
     runs[0] = 0
     np.add(state.runs, 1, out=runs[1:])
-    map_col, posterior, pruned = _advance(
-        x, log_joint, mu, beta, tables, runs, cfg.prior.mu, cfg.prior.beta,
-        cfg)
+    t = state.t + 1
+    map_col, pruned = _advance(x, log_joint, mu, beta, tables, runs,
+                               cfg.prior.mu, cfg.prior.beta, cfg, t)
     col = int(map_col[0])
-    gamma, map_prob = int(runs[col]), float(posterior[0, col])
+    gamma = int(runs[col])
+    map_prob = float(np.exp(log_joint[:, col] - _row_lse(log_joint))[0])
     log_joint, mu, beta = log_joint[0], mu[0], beta[0, 0]
     if pruned:
         live = log_joint > -math.inf
         runs, log_joint, mu, beta = (runs[live], log_joint[live], mu[live],
                                      beta[live])
-    t = state.t + 1
     new_state = RunLengthState(t=t, runs=runs, log_joint=log_joint, mu=mu,
                                beta=beta, prev_gamma=gamma,
                                map_probability=map_prob)
@@ -398,10 +392,10 @@ def detect_batch(series: MetricSeries, alphas: Sequence[float],
         lo = n_steps - t
         width = end - lo
         window = _Tables(*(table[..., :width - 1] for table in tables))
-        map_col, _, _ = _advance(
+        map_col, _ = _advance(
             float(values[t - 1]), log_joint[:, lo:end], mu[:, lo:end],
             beta[..., lo:end], window, all_runs[:width], 0.0, prior_beta,
-            cfg)
+            cfg, t)
         emits[:, t - 1] = map_col != prev_gamma + 1
         prev_gamma = map_col
         # the window ends at its oldest column until every row lost it
@@ -463,4 +457,9 @@ def state_from_dict(doc: dict, source: str = "state"
             <= min(state.t, cfg.max_run_length) and np.all(np.diff(runs) > 0)):
         raise ValidationError(f"{source}: misaligned arrays, or runs outside "
                               "[0, min(t, max_run_length)] or not rising")
+    # json reads NaN and Infinity, which would poison every later step
+    if not ((state.log_joint < math.inf).all() and np.isfinite(state.mu).all()
+            and (state.beta > 0).all()):
+        raise ValidationError(f"{source}: log_joint must be below +inf, mu "
+                              "finite and beta > 0, with no NaN")
     return state, cfg

@@ -5,6 +5,11 @@ posteriors come from explicit path enumeration with batch-form parameter
 updates and scipy densities, and PIN test data is drawn from the mixture's
 generative story directly.
 
+``log_sum_exp`` and ``posterior`` are the scalar log-sum-exp and
+``RunLengthState.posterior`` that the library dropped when its kernel began
+to prune and pick the MAP in log space; tests read a state's run-length
+posterior through them.
+
 The scalar detector below is the original one-prior, one-step recursion that
 the batched kernel in ``depegwatch.bocd`` replaced. It keeps the Normal-Gamma
 ``alpha`` and ``kappa`` arrays per hypothesis, recomputes the Student-t
@@ -67,7 +72,6 @@ from depegwatch.bocd import (
     NGParams,
     RunLengthPoint,
     hazard,
-    log_sum_exp,
 )
 from depegwatch.core import (
     MetricSeries,
@@ -85,6 +89,21 @@ from depegwatch.evaluation import (
     grid_configs,
     lf_score,
 )
+
+
+def log_sum_exp(values: np.ndarray) -> float:
+    """Stable log(sum(exp(values))) for 1-d arrays; -inf for empty input."""
+    if values.size == 0:
+        return -math.inf
+    peak = values.max()
+    if not math.isfinite(peak):
+        return float(peak)
+    return float(peak + math.log(np.exp(values - peak).sum()))
+
+
+def posterior(log_joint: np.ndarray) -> np.ndarray:
+    """The run-length posterior of a state's ``log_joint``."""
+    return np.exp(log_joint - log_sum_exp(log_joint))
 
 
 def batch_posterior(prior: NGParams, seg) -> NGParams:
@@ -323,9 +342,6 @@ class ScalarState:
     beta: np.ndarray
     prev_gamma: int
     map_probability: float = 1.0
-
-    def posterior(self) -> np.ndarray:
-        return np.exp(self.log_joint - log_sum_exp(self.log_joint))
 
 
 def _t_logpdf_arrays(x, mu, alpha, beta, kappa, scale_mode):

@@ -51,6 +51,7 @@ from oracles import (
     batch_detect,
     brute_force_run_length_posteriors,
     generate_pin_buckets,
+    posterior,
 )
 
 PP = "posterior_predictive"
@@ -77,7 +78,8 @@ def test_criterion_1_bocd_exactness_against_brute_force():
         state = bocd.init_state(cfg)
         for t, x in enumerate(xs, start=1):
             state, _ = bocd.step(state, x, cfg)
-            got = dict(zip(state.runs.tolist(), state.posterior().tolist()))
+            got = dict(zip(state.runs.tolist(),
+                           posterior(state.log_joint).tolist()))
             for r in set(oracle[t - 1]) | set(got):
                 err = abs(oracle[t - 1].get(r, 0.0) - got.get(r, 0.0))
                 worst = max(worst, err)

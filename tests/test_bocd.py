@@ -18,20 +18,23 @@ from depegwatch.bocd import (
     detect_series,
     hazard,
     init_state,
-    log_sum_exp,
     state_from_dict,
     state_to_dict,
     step,
 )
-from depegwatch.core import MetricSeries, ValidationError
+from depegwatch.core import MetricSeries, NumericalError, ValidationError
 from depegwatch.evaluation import GridSpace, grid_axis, grid_configs
 from oracles import (
+    ScalarState,
     batch_detect,
     brute_force_run_length_posteriors,
+    log_sum_exp,
     ng_update,
+    posterior,
     run_tables,
     scalar_detect_series,
     scalar_state_v1,
+    scalar_step,
     scipy_t_logpdf,
     student_t_logpdf,
 )
@@ -125,7 +128,8 @@ class TestStep:
     def test_first_observation_posterior(self):
         cfg = DetectorConfig(hazard_lambda=100.0)
         state, cp = step(init_state(cfg), 0.37, cfg)
-        post = dict(zip(state.runs.tolist(), state.posterior().tolist()))
+        post = dict(zip(state.runs.tolist(),
+                        posterior(state.log_joint).tolist()))
         assert post[0] == pytest.approx(0.01, rel=1e-12)
         assert post[1] == pytest.approx(0.99, rel=1e-12)
         assert state.prev_gamma == 1
@@ -158,7 +162,8 @@ class TestStep:
         state = init_state(cfg)
         for x in rng.standard_normal(200) * 3:
             state, _ = step(state, float(x), cfg)
-            assert state.posterior().sum() == pytest.approx(1.0, abs=1e-9)
+            assert posterior(state.log_joint).sum() == pytest.approx(
+                1.0, abs=1e-9)
 
     def test_support_grows_by_one_or_resets(self):
         rng = np.random.default_rng(8)
@@ -166,8 +171,16 @@ class TestStep:
         state = init_state(cfg)
         for t, x in enumerate(rng.standard_normal(40), start=1):
             state, _ = step(state, float(x), cfg)
-            assert set(state.runs.tolist()) <= set(range(t + 1))
-            assert state.runs[0] == 0
+            assert state.runs.tolist() == list(range(t + 1))
+
+    @pytest.mark.parametrize("x", [1e200, -1e200])
+    def test_overflowing_observation_is_numerical_error(self, x):
+        # (x - mu) ** 2 overflows, so no hypothesis has a finite likelihood
+        cfg = DetectorConfig()
+        state, _ = step(init_state(cfg), 0.5, cfg)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="step 2"):
+            step(state, x, cfg)
 
 
 class TestExactness:
@@ -185,7 +198,7 @@ class TestExactness:
             for t, x in enumerate(xs, start=1):
                 state, _ = step(state, x, cfg)
                 got = dict(zip(state.runs.tolist(),
-                               state.posterior().tolist()))
+                               posterior(state.log_joint).tolist()))
                 for r in set(oracle[t - 1]) | set(got):
                     assert abs(oracle[t - 1].get(r, 0.0) - got.get(r, 0.0)) < 1e-8
 
@@ -210,6 +223,36 @@ class TestPruning:
         for x in rng.standard_normal(60):
             state, _ = step(state, float(x), cfg)
         assert state.runs.max() <= 20
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6])
+    @pytest.mark.parametrize("mode", ["paper", PP])
+    def test_hypothesis_at_the_floor(self, scale, mode):
+        # two hypotheses, set so that after one step run length 2 holds
+        # prob_floor * scale of the posterior: kept above, pruned below
+        cfg = DetectorConfig(hazard_lambda=20.0, prob_floor=1e-9,
+                             prior=NGParams(0.0, 1.5, 0.8, 2.0),
+                             predictive_scale=mode)
+        h, x = hazard(cfg), 0.3
+        params = [NGParams(0.2, 1.5, 0.8, 2.0), NGParams(-0.4, 2.0, 1.1, 3.0)]
+        log_pred = [student_t_logpdf(x, p, mode) for p in params]
+        share = cfg.prob_floor * scale / (1.0 - h)
+        log_joint = np.array([0.0, log_pred[0] - log_pred[1]
+                              + math.log(share / (1.0 - share))])
+        runs = np.array([0, 1])
+        mu = np.array([p.mu for p in params])
+        beta = np.array([p.beta for p in params])
+        state = RunLengthState(1, runs, log_joint, mu, beta, prev_gamma=1)
+        oracle = ScalarState(1, runs, log_joint, mu,
+                             np.array([p.kappa for p in params]),
+                             np.array([p.alpha for p in params]), beta,
+                             prev_gamma=1)
+        got, cp = step(state, x, cfg)
+        want, want_cp = scalar_step(oracle, x, cfg)
+        kept = [0, 1, 2] if scale > 1 else [0, 1]
+        assert got.runs.tolist() == want.runs.tolist() == kept
+        assert got.prev_gamma == want.prev_gamma
+        assert (cp is None) == (want_cp is None)
+        np.testing.assert_allclose(got.log_joint, want.log_joint, rtol=1e-12)
 
     def test_prob_floor_validation(self):
         DetectorConfig(prob_floor=0.0)
@@ -377,6 +420,12 @@ class TestDetectBatch:
             make_series([]), [1.0], [1.0], [1.0], DetectorConfig())
         assert emits.shape == (1, 0)
         assert runs.tolist() == [0] and log_joint.tolist() == [[0.0]]
+
+    def test_overflowing_observation_is_numerical_error(self):
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="step 3"):
+            detect_batch(make_series([0.1, 0.2, 1e200, 0.3]), [1.0, 2.0],
+                         [1.0], [1.0, 0.5], DetectorConfig())
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="step 2"):

@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import os
 import shlex
 import shutil
@@ -561,7 +562,13 @@ _BAD_DOCUMENTS = [
                                    "mu": [0.0, 0.0], "beta": [1.0, 1.0]}),
           ("log-joint-string", {"log_joint": ["0"]}),
           ("mu-null", {"mu": [None]}),
-          ("beta-nested", {"beta": [[1.0]]}))),
+          ("beta-nested", {"beta": [[1.0]]}),
+          # json reads NaN and Infinity
+          ("log-joint-nan", {"log_joint": [math.nan]}),
+          ("log-joint-inf", {"log_joint": [math.inf]}),
+          ("mu-inf", {"mu": [math.inf]}),
+          ("beta-zero", {"beta": [0.0]}),
+          ("beta-nan", {"beta": [math.nan]}))),
     pytest.param("verify", json.dumps({"outputs": [1]}),
                  id="manifest-outputs-list"),
     pytest.param("verify", json.dumps({"outputs": "x"}),
@@ -654,6 +661,17 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config),
                      "--out-dir", str(tmp_path / "o")]) == 3
         assert "numerical failure: " in capsys.readouterr().err
+
+    def test_overflowing_observation_is_three(self, tmp_path, capsys):
+        metric = str(tmp_path / "m.csv")
+        pipeline.write_csv(metric, pipeline.METRIC_HEADER,
+                           [(3600, 0.1), (7200, 1e200), (10800, 0.2)])
+        with np.errstate(all="ignore"):
+            code = main(["detect", "--metric-file", metric,
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert ("numerical failure: observation at step 2: no finite "
+                "likelihood" in capsys.readouterr().err)
 
     def test_integer_amp_gives_identical_files(self, tmp_path):
         # a float field passes an integer through unchanged, so registry.json

@@ -14,6 +14,13 @@ was better (ties count for neither side). Which way is better comes from
 ``BENCHMARK.json`` in the change's checkout; a metric it does not declare is
 better lower if its unit is a time and higher if it is a rate, and gets no
 count otherwise.
+
+For each end-to-end metric, the script then prints a no-regression verdict
+against the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+parent's median: ``within bound`` when the change's median is worse than the
+parent's by at most the bound, ``over bound`` when by more, and
+``unresolved`` when the parent's quartile spread is wider than the bound,
+unless every run of the change beats every run of the parent.
 """
 
 from __future__ import annotations
@@ -50,11 +57,28 @@ def run_harness(checkout: Path, args) -> dict[str, tuple[float, str]]:
     return values
 
 
-def directions(change: Path) -> dict[str, str]:
-    declared = json.loads((change / "BENCHMARK.json").read_text())
-    return {entry["name"]: entry["better"]
-            for key in ("end_to_end", "per_layer")
-            for entry in declared.get(key, [])}
+def declared(change: Path) -> dict[str, dict]:
+    """The metrics ``BENCHMARK.json`` declares, by name; end-to-end ones
+    carry a ``bound``."""
+    doc = json.loads((change / "BENCHMARK.json").read_text())
+    return {entry["name"]: entry for key in ("end_to_end", "per_layer")
+            for entry in doc.get(key, [])}
+
+
+def verdict(old: list[float], new: list[float], way: str,
+            bound: float) -> str:
+    """Whether ``new`` regresses on ``old`` by more than ``bound`` times the
+    parent's median, in the direction ``way`` ("lower" or "higher")."""
+    sign = 1 if way == "lower" else -1
+    if max(sign * n for n in new) < min(sign * o for o in old):
+        return "within bound"  # every change run beats every parent run
+    median = statistics.median(old)
+    if len(old) >= 2:
+        q1, _, q3 = statistics.quantiles(old, n=4)
+        if q3 - q1 > bound * abs(median):
+            return "unresolved"
+    worse = sign * (statistics.median(new) - median)
+    return "over bound" if worse > bound * abs(median) else "within bound"
 
 
 def summary(values: list[float]) -> str:
@@ -74,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    better = directions(args.change)
+    metrics = declared(args.change)
 
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -91,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, (_, unit) in runs["parent"][0].items():
         old = [run[name][0] for run in runs["parent"]]
         new = [run[name][0] for run in runs["change"]]
-        way = better.get(name) or ("lower" if unit in TIME_UNITS else
+        way = metrics.get(name, {}).get("better") or ("lower" if unit in TIME_UNITS else
                                    "higher" if unit in RATE_UNITS else None)
         wins = "-"
         if way is not None:
@@ -100,6 +124,14 @@ def main(argv: list[str] | None = None) -> int:
                    f"/{args.pairs} {way}"
         print(f"{name} ({unit}): parent {summary(old)}  change "
               f"{summary(new)}  change better in {wins}")
+
+    print("\nno-regression verdict (bound: a fraction of the parent median)")
+    for name, entry in metrics.items():
+        if "bound" in entry and name in runs["parent"][0]:
+            old = [run[name][0] for run in runs["parent"]]
+            new = [run[name][0] for run in runs["change"]]
+            print(f"{name}: {verdict(old, new, entry['better'], entry['bound'])}"
+                  f" (bound {entry['bound']})")
     return 0
 
 
