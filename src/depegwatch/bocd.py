@@ -207,10 +207,11 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
     below the row's normaliser ``lse`` plus log(prob_floor), or past
     ``max_run_length``, is pruned: it becomes -inf and its mass moves to run
     length zero (``lse`` stays the row's total, since the step splits it
-    into h and 1 - h and pruning only moves mass). Returns each row's MAP
-    column after pruning (first maximum of the log-joint, so the smallest
-    run length wins ties) and the number pruned; raises
-    :class:`NumericalError` if some row's ``lse`` is not finite.
+    into h and 1 - h and pruning only moves mass). A hypothesis whose
+    likelihood is zero becomes -inf without any mass to move. Returns each
+    row's MAP column after pruning (first maximum of the log-joint, so the
+    smallest run length wins ties); raises :class:`NumericalError` if some
+    row's ``lse`` is not finite.
     """
     h = hazard(cfg)
     m, b = mu[..., 1:], beta[..., 1:]
@@ -238,7 +239,8 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
         drop[:, runs > cfg.max_run_length] = True
     drop[:, 0] = False
     drop &= log_joint > -math.inf  # not the ones pruned before
-    rows, cols = np.nonzero(drop)  # row-major: rows ascend, then runs
+    # row-major: rows ascend, then runs
+    rows, cols = np.divmod(np.flatnonzero(drop), drop.shape[1])
     if rows.size:
         dropped = log_joint[rows, cols]
         log_joint[rows, cols] = -math.inf
@@ -251,7 +253,7 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
         mass = peak + np.log(np.add.reduceat(
             np.exp(dropped - peak[np.cumsum(starts) - 1]), first))
         log_joint[hit, 0] = np.logaddexp(log_joint[hit, 0], mass)
-    return log_joint.argmax(axis=1), rows.size
+    return log_joint.argmax(axis=1)
 
 
 def init_state(cfg: DetectorConfig) -> RunLengthState:
@@ -299,13 +301,14 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     runs[0] = 0
     np.add(state.runs, 1, out=runs[1:])
     t = state.t + 1
-    map_col, pruned = _advance(x, log_joint, mu, beta, tables, runs,
-                               cfg.prior.mu, cfg.prior.beta, cfg, t)
+    map_col = _advance(x, log_joint, mu, beta, tables, runs, cfg.prior.mu,
+                       cfg.prior.beta, cfg, t)
     col = int(map_col[0])
     gamma = int(runs[col])
     map_prob = float(np.exp(log_joint[:, col] - _row_lse(log_joint))[0])
     log_joint, mu, beta = log_joint[0], mu[0], beta[0, 0]
-    if pruned:
+    # drop the pruned hypotheses and those whose likelihood became zero
+    if log_joint.min() == -math.inf:
         live = log_joint > -math.inf
         runs, log_joint, mu, beta = (runs[live], log_joint[live], mu[live],
                                      beta[live])
@@ -335,12 +338,13 @@ def detect_series(
         state = init_state(cfg)
     changepoints: list[Changepoint] = []
     trace: list[RunLengthPoint] = []
-    for ts, x in zip(series.timestamps, series.values):
-        state, cp = step(state, float(x), cfg, ts=int(ts))
-        trace.append(RunLengthPoint(int(ts), state.t, state.prev_gamma,
-                                    state.map_probability))
-        if cp is not None:
-            changepoints.append(cp)
+    with np.errstate(all="ignore"):  # NumericalError is the only report
+        for ts, x in zip(series.timestamps, series.values):
+            state, cp = step(state, float(x), cfg, ts=int(ts))
+            trace.append(RunLengthPoint(int(ts), state.t, state.prev_gamma,
+                                        state.map_probability))
+            if cp is not None:
+                changepoints.append(cp)
     return changepoints, trace, state
 
 
@@ -388,21 +392,22 @@ def detect_batch(series: MetricSeries, alphas: Sequence[float],
     emits = np.zeros((n_priors, n_steps), dtype=bool)
     prev_gamma = np.zeros(n_priors, dtype=np.int64)
     lo, end = n_steps, n_steps + 1  # the live columns are lo..end-1
-    for t in range(1, n_steps + 1):
-        lo = n_steps - t
-        width = end - lo
-        window = _Tables(*(table[..., :width - 1] for table in tables))
-        map_col, _ = _advance(
-            float(values[t - 1]), log_joint[:, lo:end], mu[:, lo:end],
-            beta[..., lo:end], window, all_runs[:width], 0.0, prior_beta,
-            cfg, t)
-        emits[:, t - 1] = map_col != prev_gamma + 1
-        prev_gamma = map_col
-        # the window ends at its oldest column until every row lost it
-        if not (log_joint[:, end - 1] > -math.inf).any():
-            live = np.flatnonzero(
-                (log_joint[:, lo:end] > -math.inf).any(axis=0))
-            end = lo + int(live[-1]) + 1
+    with np.errstate(all="ignore"):  # NumericalError is the only report
+        for t in range(1, n_steps + 1):
+            lo = n_steps - t
+            width = end - lo
+            window = _Tables(*(table[..., :width - 1] for table in tables))
+            map_col = _advance(
+                float(values[t - 1]), log_joint[:, lo:end], mu[:, lo:end],
+                beta[..., lo:end], window, all_runs[:width], 0.0, prior_beta,
+                cfg, t)
+            emits[:, t - 1] = map_col != prev_gamma + 1
+            prev_gamma = map_col
+            # the window ends at its oldest column until every row lost it
+            if not (log_joint[:, end - 1] > -math.inf).any():
+                live = np.flatnonzero(
+                    (log_joint[:, lo:end] > -math.inf).any(axis=0))
+                end = lo + int(live[-1]) + 1
     return emits, all_runs[:end - lo], log_joint[:, lo:end]
 
 

@@ -46,7 +46,7 @@ def _check_address(address: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenId:
     """A pool token: symbol plus optional on-chain address (synthetic tokens
     carry no address)."""
@@ -64,7 +64,7 @@ class TokenId:
         return self.symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradeEvent:
     """One swap against the pool, from the taker's perspective: the taker
     pays ``amount_in`` of ``token_in`` and receives ``amount_out`` of
@@ -86,7 +86,7 @@ class TradeEvent:
             raise ValidationError("token_in and token_out must differ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiquidityEvent:
     """A deposit (positive deltas) or withdrawal (negative deltas) by one
     provider. All per-token deltas and the LP-token delta share one sign."""
@@ -108,7 +108,7 @@ class LiquidityEvent:
         object.__setattr__(self, "deltas", dict(self.deltas))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceSample:
     """A spot USD price observation for one token."""
 
@@ -123,7 +123,7 @@ class PriceSample:
             raise ValidationError(f"usd_price must be > 0, got {self.usd_price}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReserveSnapshot:
     """Pool balances and LP supply observed at one instant; balances are
     ordered like the pool's token list."""

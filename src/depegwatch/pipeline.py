@@ -215,6 +215,7 @@ def ingest(
         return token
 
     trades: dict[str, list[TradeEvent]] = {p: [] for p in registry}
+    agents: dict[str, str] = {}  # one string per agent name, shared by its rows
     path = os.path.join(data_dir, "trades.csv")
     if os.path.exists(path):
         for lineno, (ts, pool_id, trader, sym_in, amount_in, sym_out,
@@ -224,9 +225,10 @@ def ingest(
             token_in = resolve(path, lineno, pool_id, sym_in)
             token_out = resolve(path, lineno, pool_id, sym_out)
             try:
-                trade = TradeEvent(ts=ts, trader=trader, token_in=token_in,
-                                   amount_in=amount_in, token_out=token_out,
-                                   amount_out=amount_out)
+                trade = TradeEvent(
+                    ts=ts, trader=agents.setdefault(trader, trader),
+                    token_in=token_in, amount_in=amount_in,
+                    token_out=token_out, amount_out=amount_out)
             except ValidationError as err:
                 raise ValidationError(f"{path}:{lineno}: {err}") from None
             trades[pool_id].append(trade)
@@ -246,8 +248,8 @@ def ingest(
                     delta += deltas[token]
                 deltas[token] = delta
             liquidity[pool_id].append(LiquidityEvent(
-                ts=ts, provider=provider, deltas=deltas,
-                lp_token_delta=lp_delta))
+                ts=ts, provider=agents.setdefault(provider, provider),
+                deltas=deltas, lp_token_delta=lp_delta))
 
     snapshots: dict[str, list[ReserveSnapshot]] = {p: [] for p in registry}
     path = os.path.join(data_dir, "reserves.csv")

@@ -194,6 +194,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
         price_samples.append(PriceSample(0, token, float(paths[token].values[0])))
 
     min_balance = 1e-9 * max(cfg.pool.balances)
+    # one name per agent, shared by all of its trades
+    informed = [f"informed_{a}" for a in range(cfg.n_informed)]
+    noise = [f"noise_{a}" for a in range(cfg.n_noise_traders)]
     n_steps = cfg.duration // cfg.step
     for k in range(1, n_steps + 1):
         t = k * cfg.step
@@ -218,8 +221,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
                 i = cfg.tokens.index(token)
                 j = 1 if i == 0 else 0  # the first other token
                 per_agent = cfg.informed_fraction * state.balances[i] / cfg.n_informed
-                for a in range(cfg.n_informed):
-                    try_swap(i, j, per_agent, f"informed_{a}")
+                for trader in informed:
+                    try_swap(i, j, per_agent, trader)
 
             # Arbitrageurs close pool-vs-external price gaps above threshold.
             for i in range(len(cfg.tokens)):
@@ -232,14 +235,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
                         try_swap(i, j, dx, "arb")
 
             # Noise traders: small random two-sided swaps.
-            for a in range(cfg.n_noise_traders):
+            for trader in noise:
                 i = int(rng.integers(0, len(cfg.tokens)))
                 j = int(rng.integers(0, len(cfg.tokens) - 1))
                 if j >= i:
                     j += 1
                 size = cfg.noise_fraction * state.balances[i] * \
                     math.exp(0.5 * rng.standard_normal())
-                try_swap(i, j, size, f"noise_{a}")
+                try_swap(i, j, size, trader)
 
             # Occasional proportional deposit or withdrawal.
             if cfg.lp_event_prob > 0 and rng.random() < cfg.lp_event_prob:

@@ -254,6 +254,17 @@ class TestPruning:
         assert (cp is None) == (want_cp is None)
         np.testing.assert_allclose(got.log_joint, want.log_joint, rtol=1e-12)
 
+    def test_zero_likelihood_hypothesis_is_dropped(self):
+        # run length 2 has seen 0 and 1e154, so at -1e154 its (x - mu)^2
+        # overflows: its likelihood is zero, it holds no mass, and a state
+        # that kept it would carry -inf and inf
+        cfg = DetectorConfig()
+        _, _, state = detect_series(make_series([0.0, 1e154, -1e154]), cfg)
+        assert state.runs.tolist() == [0, 1]
+        assert np.isfinite(state.log_joint).all()
+        assert np.isfinite(state.beta).all()
+        json.dumps(state_to_dict(state, cfg), allow_nan=False)
+
     def test_prob_floor_validation(self):
         DetectorConfig(prob_floor=0.0)
         DetectorConfig(prob_floor=1e-9)
@@ -422,8 +433,8 @@ class TestDetectBatch:
         assert runs.tolist() == [0] and log_joint.tolist() == [[0.0]]
 
     def test_overflowing_observation_is_numerical_error(self):
-        with np.errstate(all="ignore"), pytest.raises(
-                NumericalError, match="step 3"):
+        # no numpy warning either, which the test settings turn into errors
+        with pytest.raises(NumericalError, match="step 3"):
             detect_batch(make_series([0.1, 0.2, 1e200, 0.3]), [1.0, 2.0],
                          [1.0], [1.0, 0.5], DetectorConfig())
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from depegwatch.core import (
     MetricSeries,
     PriceSample,
     PriceTable,
+    ReserveSnapshot,
     TokenId,
     TradeEvent,
     ValidationError,
@@ -64,6 +66,52 @@ class TestDomainTypes:
     def test_price_sample_positive(self):
         with pytest.raises(ValidationError):
             PriceSample(0, TokenId("A"), 0.0)
+
+    _A, _B = TokenId("A"), TokenId("B", "ab" * 20)
+    RECORDS = [
+        _A,
+        TradeEvent(7, "noise_0", _A, 1.5, _B, 1.25),
+        LiquidityEvent(7, "lp_0", {_A: 2.0, _B: 3.0}, 5.0),
+        PriceSample(7, _B, 0.5),
+        ReserveSnapshot(7, (1.0, 2.0), 3.0),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_event_records_are_slotted(self, record):
+        assert not hasattr(record, "__dict__")
+        # no slot for it; for a name that is not a field, the frozen
+        # __setattr__ of a slotted class raises TypeError on Python 3.11
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_event_records_are_values(self, record):
+        fields = {f.name: getattr(record, f.name)
+                  for f in dataclasses.fields(record)}
+        twin = type(record)(**fields)
+        assert twin == record and twin is not record
+        assert dataclasses.replace(record) == record
+        assert repr(twin) == repr(record) == (
+            f"{type(record).__name__}("
+            + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")")
+        if isinstance(record, LiquidityEvent):  # deltas is a dict
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(twin) == hash(record) == hash(tuple(fields.values()))
+        changed = dataclasses.replace(record, ts=8) if hasattr(
+            record, "ts") else dataclasses.replace(record, symbol="C")
+        assert changed != record
+
+    def test_replace_checks_invariants(self):
+        trade = self.RECORDS[1]
+        with pytest.raises(ValidationError):
+            dataclasses.replace(trade, token_out=trade.token_in)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(self.RECORDS[3], usd_price=0.0)
 
     def test_series_timestamps_strictly_increase(self):
         with pytest.raises(ValidationError):

@@ -140,6 +140,14 @@ class TestRunScenario:
         assert out.final_pool == ref.final_pool
         assert out.truncated == ref.truncated
 
+    def test_agent_names_are_shared(self):
+        out = run_scenario(scenario(seed=1234))
+        names: dict[str, str] = {}
+        for trade in out.stream.trades:
+            assert names.setdefault(trade.trader, trade.trader) is trade.trader
+        assert set(names) == {"arb", "informed_0", "informed_1", "noise_0",
+                              "noise_1"}
+
     def test_snapshots_satisfy_invariant_residual(self):
         out = run_scenario(scenario(duration=2 * DAY))
         for snap in out.stream.snapshots:

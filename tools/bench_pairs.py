@@ -21,6 +21,11 @@ parent's median: ``within bound`` when the change's median is worse than the
 parent's by at most the bound, ``over bound`` when by more, and
 ``unresolved`` when the parent's quartile spread is wider than the bound,
 unless every run of the change beats every run of the parent.
+
+Next to it the script prints a gain verdict: ``gain met`` when the change
+is better in at least nine tenths of the pairs (ties count for neither
+side) and its median is better than the parent's by more than the parent's
+quartile spread, else ``gain not met``.
 """
 
 from __future__ import annotations
@@ -65,6 +70,31 @@ def declared(change: Path) -> dict[str, dict]:
             for entry in doc.get(key, [])}
 
 
+def wins(old: list[float], new: list[float], way: str) -> int:
+    """Pairs in which ``new`` is better than ``old`` in the direction
+    ``way`` ("lower" or "higher"); ties count for neither side."""
+    sign = 1 if way == "lower" else -1
+    return sum(sign * (n - o) < 0 for o, n in zip(old, new))
+
+
+def spread(values: list[float]) -> float:
+    """Distance between the quartiles (0 for a single run)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def gain(old: list[float], new: list[float], way: str) -> str:
+    """Whether ``new`` is better than ``old`` in at least nine tenths of
+    the pairs and in the median by more than the parent's quartile
+    spread."""
+    sign = 1 if way == "lower" else -1
+    better = sign * (statistics.median(old) - statistics.median(new))
+    met = 10 * wins(old, new, way) >= 9 * len(old) and better > spread(old)
+    return "gain met" if met else "gain not met"
+
+
 def verdict(old: list[float], new: list[float], way: str,
             bound: float) -> str:
     """Whether ``new`` regresses on ``old`` by more than ``bound`` times the
@@ -73,10 +103,8 @@ def verdict(old: list[float], new: list[float], way: str,
     if max(sign * n for n in new) < min(sign * o for o in old):
         return "within bound"  # every change run beats every parent run
     median = statistics.median(old)
-    if len(old) >= 2:
-        q1, _, q3 = statistics.quantiles(old, n=4)
-        if q3 - q1 > bound * abs(median):
-            return "unresolved"
+    if spread(old) > bound * abs(median):
+        return "unresolved"
     worse = sign * (statistics.median(new) - median)
     return "over bound" if worse > bound * abs(median) else "within bound"
 
@@ -117,21 +145,20 @@ def main(argv: list[str] | None = None) -> int:
         new = [run[name][0] for run in runs["change"]]
         way = metrics.get(name, {}).get("better") or ("lower" if unit in TIME_UNITS else
                                    "higher" if unit in RATE_UNITS else None)
-        wins = "-"
-        if way is not None:
-            sign = 1 if way == "lower" else -1
-            wins = f"{sum(sign * (n - o) < 0 for o, n in zip(old, new))}" \
-                   f"/{args.pairs} {way}"
+        better = "-" if way is None else \
+            f"{wins(old, new, way)}/{args.pairs} {way}"
         print(f"{name} ({unit}): parent {summary(old)}  change "
-              f"{summary(new)}  change better in {wins}")
+              f"{summary(new)}  change better in {better}")
 
-    print("\nno-regression verdict (bound: a fraction of the parent median)")
+    print("\nno-regression verdict (bound: a fraction of the parent median); "
+          "gain verdict")
     for name, entry in metrics.items():
         if "bound" in entry and name in runs["parent"][0]:
             old = [run[name][0] for run in runs["parent"]]
             new = [run[name][0] for run in runs["change"]]
-            print(f"{name}: {verdict(old, new, entry['better'], entry['bound'])}"
-                  f" (bound {entry['bound']})")
+            way = entry["better"]
+            print(f"{name}: {verdict(old, new, way, entry['bound'])}"
+                  f" (bound {entry['bound']}); {gain(old, new, way)}")
     return 0
 
 
