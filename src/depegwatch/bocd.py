@@ -464,7 +464,7 @@ def state_from_dict(doc: dict, source: str = "state"
                               "[0, min(t, max_run_length)] or not rising")
     # json reads NaN and Infinity, which would poison every later step
     if not ((state.log_joint < math.inf).all() and np.isfinite(state.mu).all()
-            and (state.beta > 0).all()):
+            and (state.beta > 0).all() and np.isfinite(state.beta).all()):
         raise ValidationError(f"{source}: log_joint must be below +inf, mu "
-                              "finite and beta > 0, with no NaN")
+                              "finite and beta finite and > 0, with no NaN")
     return state, cfg

@@ -365,6 +365,28 @@ class PriceTable:
                     best = (dist, prices[j])
         return None if best is None else best[1]
 
+    def lookup_all(self, token: TokenId, ts: np.ndarray, tol: int) -> np.ndarray:
+        """:meth:`lookup` at every time of the int64 array ``ts``, with NaN
+        where it finds no sample."""
+        out = np.full(ts.shape, np.nan)
+        entry = self._data.get(token)
+        if entry is None:
+            return out
+        times = np.array(entry[0], dtype=np.int64)
+        prices = np.array(entry[1])
+        i = np.searchsorted(times, ts)  # bisect_left
+        before = np.maximum(i - 1, 0)
+        after = np.minimum(i, times.size - 1)
+        gap_before = ts - times[before]
+        gap_after = times[after] - ts
+        use_before = (i > 0) & (gap_before <= tol)
+        # the later sample only when strictly nearer
+        use_after = ((i < times.size) & (gap_after <= tol)
+                     & ~(use_before & (gap_before <= gap_after)))
+        out[use_before] = prices[before[use_before]]
+        out[use_after] = prices[after[use_after]]
+        return out
+
     def at(self, token: TokenId, ts: Timestamp, tol: int) -> float:
         """Like :meth:`lookup` but raises when no sample qualifies."""
         price = self.lookup(token, ts, tol)

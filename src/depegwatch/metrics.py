@@ -22,7 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     MetricSeries,
     NumericalError,
-    MissingPriceError,
     PriceTable,
     Timestamp,
     TokenId,
@@ -107,21 +106,94 @@ def gini(balances: Sequence[float]) -> float:
     return float(((2 * i - n - 1) * p).sum() / (n - 1))
 
 
-def net_swap_flow(trades: Iterable[TradeEvent], token: TokenId,
+class TradeColumns:
+    """A trade stream as arrays, one row per trade in the given order:
+    ``ts`` (int64 seconds), ``amount_in`` and ``amount_out``, and the codes
+    ``token_in``, ``token_out`` (into ``tokens``) and ``trader`` (into
+    ``traders``), both lists in order of first appearance.
+
+    The trade metrics below take one in place of their ``trades``, so one
+    stream's metrics share one walk over its trades.
+    """
+
+    def __init__(self, trades: Iterable[TradeEvent]):
+        if not isinstance(trades, (list, tuple)):
+            trades = list(trades)
+        # one column at a time, so no per-trade row is ever built
+        ts = np.array([t.ts for t in trades])
+        if ts.size and ts.dtype.kind not in "iu":
+            # aggregate would bucket a fractional second; int64 would cut it
+            raise ValidationError("trade timestamps must be whole seconds")
+        self.ts = ts.astype(np.int64)
+        self.amount_in = np.array([t.amount_in for t in trades], dtype=float)
+        self.amount_out = np.array([t.amount_out for t in trades], dtype=float)
+        tokens: dict[TokenId, int] = {}
+        traders: dict[str, int] = {}
+        self.token_in = np.array([tokens.setdefault(t.token_in, len(tokens))
+                                  for t in trades], dtype=np.intp)
+        self.token_out = np.array([tokens.setdefault(t.token_out, len(tokens))
+                                   for t in trades], dtype=np.intp)
+        self.trader = np.array([traders.setdefault(t.trader, len(traders))
+                                for t in trades], dtype=np.intp)
+        self.tokens = list(tokens)
+        self.traders = list(traders)
+        self._codes = tokens
+
+    def __len__(self) -> int:
+        return int(self.ts.size)
+
+    def code(self, token: TokenId) -> int:
+        """Index of ``token`` in ``tokens``; -1 when no trade touches it."""
+        return self._codes.get(token, -1)
+
+
+def _columns(trades: Iterable[TradeEvent] | TradeColumns) -> TradeColumns:
+    return trades if isinstance(trades, TradeColumns) else TradeColumns(trades)
+
+
+def _bucket_sums(ts: np.ndarray, values: np.ndarray, period: int,
+                 metric_name: str, pool_id: str = "") -> MetricSeries:
+    """``aggregate(zip(ts, values), period, "sum")`` on columns: ``bincount``
+    adds each bucket's values from 0.0 in stable timestamp order, as that
+    loop does."""
+    if period <= 0:
+        raise ValidationError("period must be positive")
+    if not ts.size:
+        return MetricSeries(metric_name, pool_id, np.array([], dtype=np.int64),
+                            np.array([], dtype=np.float64))
+    order = np.argsort(ts, kind="stable")
+    labels = -(-ts[order] // period) * period  # bucket_end, as for ts > 0
+    labels[labels == 0] = period
+    slots = (labels - labels[0]) // period
+    return MetricSeries(metric_name, pool_id,
+                        np.arange(labels[0], labels[-1] + period, period,
+                                  dtype=np.int64),
+                        np.bincount(slots, weights=values[order]))
+
+
+def _swap_flow(trades: TradeColumns, token: TokenId, window: int,
+               metric_name: str, pool_id: str,
+               rows: np.ndarray | None = None) -> MetricSeries:
+    """Per-window net amount of ``token`` that takers bought, over the
+    trades ``rows`` selects (all by default)."""
+    code = trades.code(token)
+    bought = trades.token_out == code
+    legs = bought | (trades.token_in == code)
+    if rows is not None:
+        legs &= rows
+    values = np.where(bought, trades.amount_out, -trades.amount_in)
+    return _bucket_sums(trades.ts[legs], values[legs], window, metric_name,
+                        pool_id)
+
+
+def net_swap_flow(trades: Iterable[TradeEvent] | TradeColumns, token: TokenId,
                   window: int = 3600, *, pool_id: str = "") -> MetricSeries:
     """Net amount of ``token`` bought from the pool by takers per window.
 
     Positive means takers withdrew the token on net (pool sold it); taker
     sells push the value negative.
     """
-    points = []
-    for trade in trades:
-        if trade.token_out == token:
-            points.append((trade.ts, trade.amount_out))
-        elif trade.token_in == token:
-            points.append((trade.ts, -trade.amount_in))
-    return aggregate(points, window, "sum",
-                     metric_name="netSwapFlow", pool_id=pool_id)
+    return _swap_flow(_columns(trades), token, window, "netSwapFlow", pool_id)
 
 
 def net_lp_flow(events: Iterable[LiquidityEvent], token: TokenId,
@@ -164,60 +236,69 @@ def trade_markout(trade: TradeEvent, prices: PriceTable, horizon: int,
     return taker if side == "taker" else -taker
 
 
-def pool_markout_series(trades: Iterable[TradeEvent], prices: PriceTable,
-                        horizon: int = 300, window: int = 3600, *,
-                        pool_id: str = "",
+def _taker_markouts(trades: TradeColumns, prices: PriceTable, horizon: int,
+                    tolerance: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every trade's taker-side ``trade_markout``, and where both of its
+    mark prices exist (elsewhere the markout is NaN)."""
+    marks = trades.ts + horizon
+    at = np.empty((len(trades.tokens), len(trades)))
+    for code, token in enumerate(trades.tokens):
+        at[code] = prices.lookup_all(token, marks, tolerance)
+    rows = np.arange(len(trades))
+    p_out, p_in = at[trades.token_out, rows], at[trades.token_in, rows]
+    priced = ~(np.isnan(p_out) | np.isnan(p_in))
+    return trades.amount_out * p_out - trades.amount_in * p_in, priced
+
+
+def pool_markout_series(trades: Iterable[TradeEvent] | TradeColumns,
+                        prices: PriceTable, horizon: int = 300,
+                        window: int = 3600, *, pool_id: str = "",
                         tolerance: int = 3600) -> tuple[MetricSeries, int]:
     """Per-window sums of LP-side markouts.
 
     Returns (series, skipped) where ``skipped`` counts trades dropped for
     missing mark prices.
     """
-    points = []
-    skipped = 0
-    for trade in trades:
-        try:
-            m = trade_markout(trade, prices, horizon, "lp", tolerance=tolerance)
-        except MissingPriceError:
-            skipped += 1
-            continue
-        points.append((trade.ts, m))
-    series = aggregate(points, window, "sum",
-                       metric_name="markout", pool_id=pool_id)
-    return series, skipped
+    trades = _columns(trades)
+    taker, priced = _taker_markouts(trades, prices, horizon, tolerance)
+    series = _bucket_sums(trades.ts[priced], -taker[priced], window,
+                          "markout", pool_id)
+    return series, len(trades) - int(priced.sum())
 
 
-def classify_sharks(trades: Sequence[TradeEvent], prices: PriceTable,
-                    cfg: MetricConfig) -> set[str]:
+def classify_sharks(trades: Sequence[TradeEvent] | TradeColumns,
+                    prices: PriceTable, cfg: MetricConfig) -> set[str]:
     """Accounts whose cumulative taker markout reaches the top quantile.
 
-    Cumulative markouts use the shark horizon; the cutoff is the empirical
-    (1 - shark_quantile) quantile with ties at the cutoff included, so the
-    result does not depend on trade ordering.
+    Cumulative markouts use the shark horizon, summed in trade order; the
+    cutoff is the empirical (1 - shark_quantile) quantile with ties at the
+    cutoff included, so the result does not depend on trade ordering.
     """
     if not trades:
         raise ValidationError("shark classification needs a non-empty trade corpus")
-    cumulative: dict[str, float] = {}
-    for trade in trades:
-        try:
-            m = trade_markout(trade, prices, cfg.shark_markout_horizon, "taker",
-                              tolerance=cfg.price_tolerance)
-        except MissingPriceError:
-            continue
-        cumulative[trade.trader] = cumulative.get(trade.trader, 0.0) + m
-    if not cumulative:
+    trades = _columns(trades)
+    taker, priced = _taker_markouts(trades, prices, cfg.shark_markout_horizon,
+                                    cfg.price_tolerance)
+    who = trades.trader[priced]
+    if not who.size:
         return set()
-    scores = np.array(sorted(cumulative.values()))
-    cutoff = float(np.quantile(scores, 1.0 - cfg.shark_quantile, method="higher"))
-    return {trader for trader, score in cumulative.items() if score >= cutoff}
+    n = len(trades.traders)
+    totals = np.bincount(who, weights=taker[priced], minlength=n)
+    seen = np.bincount(who, minlength=n) > 0
+    cutoff = float(np.quantile(np.sort(totals[seen]), 1.0 - cfg.shark_quantile,
+                               method="higher"))
+    return {trades.traders[k]
+            for k in np.flatnonzero(seen & (totals >= cutoff)).tolist()}
 
 
-def shark_flow(trades: Iterable[TradeEvent], sharks: set[str], token: TokenId,
-               window: int = 3600, *, pool_id: str = "") -> MetricSeries:
+def shark_flow(trades: Iterable[TradeEvent] | TradeColumns, sharks: set[str],
+               token: TokenId, window: int = 3600, *,
+               pool_id: str = "") -> MetricSeries:
     """Net swap flow restricted to trades by shark accounts."""
-    series = net_swap_flow((t for t in trades if t.trader in sharks),
-                           token, window, pool_id=pool_id)
-    return series.with_name("sharkflow")
+    trades = _columns(trades)
+    is_shark = np.array([name in sharks for name in trades.traders], dtype=bool)
+    return _swap_flow(trades, token, window, "sharkflow", pool_id,
+                      is_shark[trades.trader])
 
 
 def pin_likelihood(buckets: Sequence[tuple[int, int]], params: PinParams) -> float:
@@ -534,18 +615,21 @@ def rolling_pin(bucket_series: Sequence[Sequence[tuple[Timestamp, int, int]]],
             in zip(bucket_series, ends, per_series)]
 
 
-def order_count_buckets(trades: Iterable[TradeEvent], token: TokenId,
-                        bucket: int = 86400) -> list[tuple[Timestamp, int, int]]:
+def order_count_buckets(trades: Iterable[TradeEvent] | TradeColumns,
+                        token: TokenId, bucket: int = 86400
+                        ) -> list[tuple[Timestamp, int, int]]:
     """Daily-style (ts, buys, sells) counts for one token.
 
     A trade with token_out == token is a buy of that token; token_in ==
     token is a sell. Buckets run without gaps from the first to the last
     trade touching the token, so a quiet bucket counts (0, 0).
     """
-    legs = [t for t in trades if token in (t.token_in, t.token_out)]
-    buys = aggregate(((t.ts, float(t.token_out == token)) for t in legs),
-                     bucket, "sum")
-    sells = aggregate(((t.ts, float(t.token_in == token)) for t in legs),
-                      bucket, "sum")
-    return [(int(ts), int(b), int(s)) for ts, b, s
-            in zip(buys.timestamps, buys.values, sells.values)]
+    trades = _columns(trades)
+    code = trades.code(token)
+    bought = trades.token_out == code
+    legs = bought | (trades.token_in == code)
+    ts, buy = trades.ts[legs], bought[legs]
+    buys = _bucket_sums(ts, buy.astype(float), bucket, "")
+    sells = _bucket_sums(ts, (~buy).astype(float), bucket, "")
+    return [(ts, int(b), int(s)) for ts, b, s in zip(
+        buys.timestamps.tolist(), buys.values.tolist(), sells.values.tolist())]

@@ -439,6 +439,7 @@ def compute_pool_metrics(
     cfg = cfg or metrics.MetricConfig(window=period)
     out: list[tuple[str, TokenId | None, MetricSeries]] = []
     pool_id = stream.pool_id
+    trades = metrics.TradeColumns(stream.trades)  # shared by the trade metrics
 
     if stream.snapshots:
         snap_points_entropy = [
@@ -453,7 +454,7 @@ def compute_pool_metrics(
             metric_name="giniCoefficient", pool_id=pool_id)))
 
     for token in stream.tokens:
-        series = metrics.net_swap_flow(stream.trades, token, period,
+        series = metrics.net_swap_flow(trades, token, period,
                                        pool_id=pool_id)
         out.append(("netSwapFlow", token, series))
         series = metrics.net_lp_flow(stream.liquidity, token, period,
@@ -469,15 +470,15 @@ def compute_pool_metrics(
 
     markout_name = f"{cfg.markout_horizon}.Markout"
     markout_series, _ = metrics.pool_markout_series(
-        stream.trades, prices, cfg.markout_horizon, period,
+        trades, prices, cfg.markout_horizon, period,
         pool_id=pool_id, tolerance=cfg.price_tolerance)
     out.append((markout_name, None, markout_series.with_name(markout_name)))
 
     if stream.trades:
-        sharks = metrics.classify_sharks(stream.trades, prices, cfg)
+        sharks = metrics.classify_sharks(trades, prices, cfg)
         for token in stream.tokens:
             out.append(("sharkflow", token, metrics.shark_flow(
-                stream.trades, sharks, token, period, pool_id=pool_id)))
+                trades, sharks, token, period, pool_id=pool_id)))
 
         # No token's buckets can span more than the whole trade stream.
         span = (bucket_end(stream.trades[-1].ts, cfg.pin_bucket)
@@ -486,7 +487,7 @@ def compute_pool_metrics(
             # one call for all tokens, so a search round serves every window
             tokens, bucket_series = [], []
             for token in stream.tokens:
-                buckets = metrics.order_count_buckets(stream.trades, token,
+                buckets = metrics.order_count_buckets(trades, token,
                                                       cfg.pin_bucket)
                 if len(buckets) >= cfg.pin_window:
                     tokens.append(token)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,15 @@ from .core import (
     TradeEvent,
     ValidationError,
 )
-from .stableswap import PoolState, _price_after, apply_swap, marginal_price
+from .stableswap import (
+    PoolState,
+    _d,
+    _price_after,
+    _slope,
+    _step,
+    _swap,
+    marginal_price,
+)
 
 _U64 = (1 << 64) - 1
 _AGENT_STREAM = 1 << 32  # keeps agent draws clear of per-token price streams
@@ -160,18 +168,20 @@ def _informed_targets(cfg: ScenarioConfig, t: int) -> list[TokenId]:
     return out
 
 
-def _arb_size(state: PoolState, i: int, j: int, target_ratio: float) -> float:
+def _arb_size(balances: Sequence[float], amp: float, fee: float, d: float,
+              i: int, j: int, target_ratio: float) -> float:
     """Largest sell of token i that keeps the pool's marginal price of i at
     or above the external ratio (bisection; 0 when even a dust trade
-    overshoots). Each trial is priced on its post-trade balances."""
-    lo, hi = 0.0, 0.45 * state.balances[i]
-    if _price_after(state, i, j, hi) > target_ratio:
+    overshoots). ``d`` is the invariant of ``balances``; each trial is
+    priced on its post-trade balances."""
+    lo, hi = 0.0, 0.45 * balances[i]
+    if _price_after(balances, amp, fee, d, i, j, hi) > target_ratio:
         return hi
     for _ in range(24):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _price_after(state, i, j, mid) > target_ratio:
+        if _price_after(balances, amp, fee, d, i, j, mid) > target_ratio:
             lo = mid
         else:
             hi = mid
@@ -179,10 +189,20 @@ def _arb_size(state: PoolState, i: int, j: int, target_ratio: float) -> float:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
-    """Simulate the full scenario and return streams the pipeline can ingest."""
+    """Simulate the full scenario and return streams the pipeline can ingest.
+
+    The pool steps as a balance list, its LP supply and its D, which is
+    solved when first needed after a balance changes. Every swap and LP
+    event makes the checks a ``PoolState`` would, so the outputs equal
+    stepping one ``PoolState`` per trade, bit for bit; only ``final_pool``
+    is built.
+    """
     paths = {token: external_price_path(cfg, token) for token in cfg.tokens}
+    ext_values = [paths[token].values.tolist() for token in cfg.tokens]
     rng = _stream_rng(cfg.seed, _AGENT_STREAM)
-    state = cfg.pool
+    amp, fee = cfg.pool.amp, cfg.pool.fee
+    balances, lp_supply = list(cfg.pool.balances), cfg.pool.lp_supply
+    d = None  # D of balances, or None until solved
 
     trades: list[TradeEvent] = []
     liquidity: list[LiquidityEvent] = []
@@ -190,29 +210,36 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     price_samples: list[PriceSample] = []
     truncated = False
 
-    for token in cfg.tokens:
-        price_samples.append(PriceSample(0, token, float(paths[token].values[0])))
+    for token, values in zip(cfg.tokens, ext_values):
+        price_samples.append(PriceSample(0, token, values[0]))
 
+    n_tokens = len(cfg.tokens)
     min_balance = 1e-9 * max(cfg.pool.balances)
     # one name per agent, shared by all of its trades
     informed = [f"informed_{a}" for a in range(cfg.n_informed)]
     noise = [f"noise_{a}" for a in range(cfg.n_noise_traders)]
+
+    def pool_d() -> float:
+        nonlocal d
+        if d is None:
+            d = _d(balances, amp)[0]
+        return d
+
+    def try_swap(i: int, j: int, dx: float, trader: str) -> None:
+        nonlocal balances, d
+        if dx <= 0:
+            return
+        after, dy = _swap(balances, amp, fee, pool_d(), i, j, dx)
+        if dy <= 0 or after[j] <= min_balance:
+            raise ValidationError("pool drained")
+        balances, d = after, None
+        trades.append(TradeEvent(t, trader, cfg.tokens[i], dx,
+                                 cfg.tokens[j], dy))
+
     n_steps = cfg.duration // cfg.step
     for k in range(1, n_steps + 1):
         t = k * cfg.step
-        ext = {token: float(paths[token].values[k]) for token in cfg.tokens}
-
-        def try_swap(i: int, j: int, dx: float, trader: str) -> None:
-            nonlocal state
-            if dx <= 0:
-                return
-            new_state, dy = apply_swap(state, i, j, dx)
-            if dy <= 0 or new_state.balances[j] <= min_balance:
-                raise ValidationError("pool drained")
-            state = new_state
-            trades.append(TradeEvent(t, trader, cfg.tokens[i], dx,
-                                     cfg.tokens[j], dy))
-
+        ext = [values[k] for values in ext_values]
         try:
             # Informed agents unload the soon-depegging token into the pool.
             for token in _informed_targets(cfg, t):
@@ -220,27 +247,30 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
                     break
                 i = cfg.tokens.index(token)
                 j = 1 if i == 0 else 0  # the first other token
-                per_agent = cfg.informed_fraction * state.balances[i] / cfg.n_informed
+                per_agent = cfg.informed_fraction * balances[i] / cfg.n_informed
                 for trader in informed:
                     try_swap(i, j, per_agent, trader)
 
             # Arbitrageurs close pool-vs-external price gaps above threshold.
-            for i in range(len(cfg.tokens)):
-                for j in range(len(cfg.tokens)):
+            for i in range(n_tokens):
+                for j in range(n_tokens):
                     if i == j:
                         continue
-                    ratio = ext[cfg.tokens[i]] / ext[cfg.tokens[j]]
-                    if marginal_price(state, i, j) / ratio - 1.0 > cfg.arb_threshold:
-                        dx = _arb_size(state, i, j, ratio)
+                    ratio = ext[i] / ext[j]
+                    h = _step(balances[i])
+                    d_now = pool_d()
+                    price = _slope(balances, amp, d_now, i, j, h)
+                    if price / ratio - 1.0 > cfg.arb_threshold:
+                        dx = _arb_size(balances, amp, fee, d_now, i, j, ratio)
                         try_swap(i, j, dx, "arb")
 
             # Noise traders: small random two-sided swaps.
             for trader in noise:
-                i = int(rng.integers(0, len(cfg.tokens)))
-                j = int(rng.integers(0, len(cfg.tokens) - 1))
+                i = int(rng.integers(0, n_tokens))
+                j = int(rng.integers(0, n_tokens - 1))
                 if j >= i:
                     j += 1
-                size = cfg.noise_fraction * state.balances[i] * \
+                size = cfg.noise_fraction * balances[i] * \
                     math.exp(0.5 * rng.standard_normal())
                 try_swap(i, j, size, trader)
 
@@ -249,29 +279,34 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
                 frac = cfg.lp_fraction * (0.5 + rng.random())
                 sign = 1.0 if rng.random() < 0.5 else -1.0
                 deltas = {token: sign * frac * bal
-                          for token, bal in zip(cfg.tokens, state.balances)}
-                lp_delta = sign * frac * state.lp_supply
-                balances = tuple(b + deltas[token]
-                                 for token, b in zip(cfg.tokens, state.balances))
-                state = replace(state, balances=balances,
-                                lp_supply=state.lp_supply + lp_delta)
+                          for token, bal in zip(cfg.tokens, balances)}
+                lp_delta = sign * frac * lp_supply
+                after = [b + deltas[token]
+                         for token, b in zip(cfg.tokens, balances)]
+                lp_after = lp_supply + lp_delta
+                if any(b < 0 for b in after):
+                    raise ValidationError("balances must be non-negative")
+                if lp_after < 0:
+                    raise ValidationError("lp_supply must be non-negative")
+                balances, lp_supply, d = after, lp_after, None
                 liquidity.append(LiquidityEvent(t, "lp_0", deltas, lp_delta))
         except ValidationError:
             truncated = True
 
-        for token in cfg.tokens:
-            price_samples.append(PriceSample(t, token, ext[token]))
+        for token, price in zip(cfg.tokens, ext):
+            price_samples.append(PriceSample(t, token, price))
         if t % cfg.snapshot_period == 0:
-            snapshots.append(ReserveSnapshot(t, state.balances, state.lp_supply))
+            snapshots.append(ReserveSnapshot(t, tuple(balances), lp_supply))
         if truncated:
             break
 
     stream = EventStream(pool_id="scenario", tokens=cfg.tokens,
                          trades=tuple(trades), liquidity=tuple(liquidity),
                          snapshots=tuple(snapshots))
+    final_pool = PoolState(tuple(balances), amp, fee, lp_supply)
     return ScenarioOutput(stream=stream, prices=tuple(price_samples),
                           external_prices=paths, config=cfg,
-                          final_pool=state, truncated=truncated)
+                          final_pool=final_pool, truncated=truncated)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,11 @@ Two float kernels over balance tuples do the work: ``_d`` solves it for D
 by Newton's method with a bisection fallback, and ``_dy`` holds D fixed
 and solves for the counter-balance of a swap. D is solved once per pool
 state (``PoolState.d``) or per priced trial (``_price_after``), never with
-a residual unless ``compute_d`` asks for one. Everything operates on
-float64; this is an analytics library, not a fixed-point contract port.
+a residual unless ``compute_d`` asks for one. ``_swap`` and
+``_price_after`` are the swap and the post-trade price on a plain balance
+list and its D, for callers that step a pool without a ``PoolState`` per
+trade. Everything operates on float64; this is an analytics library, not a
+fixed-point contract port.
 """
 
 from __future__ import annotations
@@ -96,22 +99,27 @@ def compute_d(state: PoolState) -> InvariantSolution:
 def _d(balances: Sequence[float], amp: float) -> tuple[float, int]:
     """Invariant D of the balances and the iterations spent: Newton steps,
     or 255 plus the bisection steps after a fallback."""
-    if any(b <= 0 for b in balances):
-        raise ValidationError("compute_d requires strictly positive balances")
+    for b in balances:
+        if b <= 0:
+            raise ValidationError("compute_d requires strictly positive balances")
     n = len(balances)
     s = sum(balances)
     ann = amp * n**n
+    # loop invariants, each the same float the loop computed every time
+    xn = [x * n for x in balances]
+    ann_s, ann_1, n_1 = ann * s, ann - 1.0, n + 1
 
     d = s
     for iteration in range(1, MAX_ITERATIONS + 1):
         d_p = d
-        for x in balances:
-            d_p = d_p * d / (x * n)
+        for x_n in xn:
+            d_p = d_p * d / x_n
         d_prev = d
-        d = (ann * s + n * d_p) * d / ((ann - 1.0) * d + (n + 1) * d_p)
+        d = (ann_s + n * d_p) * d / (ann_1 * d + n_1 * d_p)
         if not math.isfinite(d) or d <= 0:
             break
-        if abs(d - d_prev) < REL_TOL * d:
+        tol = REL_TOL * d
+        if -tol < d - d_prev < tol:  # abs(d - d_prev) < tol, NaN included
             return d, iteration
 
     return _bisect_d(balances, amp, s)
@@ -153,24 +161,28 @@ def _dy(balances: Sequence[float], amp: float, d: float, i: int, j: int,
     balance of j that keeps the invariant given the other balances."""
     n = len(balances)
     ann = amp * n**n
-    others = [b + dx if k == i else b for k, b in enumerate(balances) if k != j]
+    others = list(balances)
+    others[i] += dx
+    del others[j]
     c = d
     for x in others:
         c = c * d / (x * n)
     c = c * d / (ann * n)
     b = sum(others) + d / ann
+    tol = 1e-14 * d
 
     y = d
     for _ in range(MAX_ITERATIONS):
         y_prev = y
         y = (y * y + c) / (2.0 * y + b - d)
-        if abs(y - y_prev) < 1e-14 * d:
+        if -tol < y - y_prev < tol:  # abs(y - y_prev) < tol, NaN included
             break
     else:
         raise NumericalError("swap output solver did not converge")
     if not math.isfinite(y) or y <= 0:
         raise ValidationError("swap would drain the pool")
-    return max(balances[j] - y, 0.0)  # float noise at dx -> 0
+    dy = balances[j] - y
+    return 0.0 if dy < 0.0 else dy  # float noise at dx -> 0
 
 
 def _check_pair(state: PoolState, i: int, j: int) -> None:
@@ -183,15 +195,27 @@ def _check_pair(state: PoolState, i: int, j: int) -> None:
 def get_dy(state: PoolState, i: int, j: int, dx: float) -> float:
     """Output amount of token j for selling dx of token i, after the fee."""
     _check_pair(state, i, j)
-    return _fee_dy(state, i, j, dx)
-
-
-def _fee_dy(state: PoolState, i: int, j: int, dx: float) -> float:
     if dx < 0:
         raise ValidationError("dx must be non-negative")
     if dx == 0:
         return 0.0
     return _dy(state.balances, state.amp, state.d, i, j, dx) * (1.0 - state.fee)
+
+
+def _swap(balances: Sequence[float], amp: float, fee: float, d: float, i: int,
+          j: int, dx: float) -> tuple[list[float], float]:
+    """``apply_swap`` on a balance list whose invariant is ``d``: the new
+    balances and the output after the fee, bit for bit and with the same
+    checks. The pair (i, j) must be valid; ``d`` is unused when dx == 0."""
+    if dx < 0:
+        raise ValidationError("dx must be non-negative")
+    dy = 0.0 if dx == 0 else _dy(balances, amp, d, i, j, dx) * (1.0 - fee)
+    after = list(balances)
+    after[i] += dx
+    after[j] -= dy
+    if after[j] < 0:  # the only balance a swap lowers
+        raise ValidationError("balances must be non-negative")
+    return after, dy
 
 
 def apply_swap(state: PoolState, i: int, j: int, dx: float) -> tuple[PoolState, float]:
@@ -225,11 +249,6 @@ def lp_share_price(state: PoolState, tokens: Sequence[TokenId],
     return total / state.lp_supply
 
 
-def leverage_chi(state: PoolState) -> float:
-    """Leverage parameter: amp * prod(x) / (D/n)^n; equals amp at equilibrium."""
-    return state.amp * math.prod(state.balances) / (state.d / state.n) ** state.n
-
-
 def marginal_price(state: PoolState, i: int, j: int) -> float:
     """Marginal dy/dx for selling token i into token j, fee ignored.
 
@@ -241,19 +260,15 @@ def marginal_price(state: PoolState, i: int, j: int) -> float:
     return _slope(state.balances, state.amp, state.d, i, j, h)
 
 
-def _price_after(state: PoolState, i: int, j: int, dx: float) -> float:
-    """``marginal_price(apply_swap(state, i, j, dx)[0], i, j)``, bit for bit
-    and with the same checks, priced on the post-trade balance tuple: dy at
-    the pool's cached D, then the trial's own D, and no ``PoolState``. The
-    pair (i, j) must already be valid for the state."""
-    dy = _fee_dy(state, i, j, dx)
-    balances = list(state.balances)
-    balances[i] += dx
-    balances[j] -= dy
-    if balances[j] < 0:
-        raise ValidationError("balances must be non-negative")
-    h = _step(balances[i])
-    return _slope(balances, state.amp, _d(balances, state.amp)[0], i, j, h)
+def _price_after(balances: Sequence[float], amp: float, fee: float, d: float,
+                 i: int, j: int, dx: float) -> float:
+    """``marginal_price(apply_swap(state, i, j, dx)[0], i, j)`` for the
+    state of these balances, whose invariant is ``d``: bit for bit and with
+    the same checks, priced on the post-trade balances at their own D, with
+    no ``PoolState``. The pair (i, j) must be valid."""
+    after, _ = _swap(balances, amp, fee, d, i, j, dx)
+    h = _step(after[i])
+    return _slope(after, amp, _d(after, amp)[0], i, j, h)
 
 
 def _step(x_i: float) -> float:

@@ -50,9 +50,20 @@ balance tuples, and ``arb_size`` is the simulator's arbitrage bisection from
 before its trials skipped building a ``PoolState``. The library must match
 all of them bit for bit.
 
+``run_scenario`` is the simulator loop from before it stepped on a balance
+list and one cached D: it builds a ``PoolState`` per trade and prices
+through the D-resolving swap functions. The library must equal it field
+for field.
+
 ``PriceTable`` is the nearest-sample lookup from before the library kept
 each token's samples in Python lists: it bisects an int64 array. The
 library's ``lookup`` and ``at`` must equal it.
+
+The trade metrics at the end (``net_swap_flow``, ``pool_markout_series``,
+``classify_sharks``, ``shark_flow`` and ``order_count_buckets``) walk the
+trades one at a time, look up two mark prices per trade through
+``PriceTable.at`` and bucket with ``aggregate`` above. The library's
+columnar versions must equal them bit for bit.
 """
 
 import math
@@ -73,10 +84,16 @@ from depegwatch.bocd import (
     RunLengthPoint,
     hazard,
 )
+from depegwatch import simulator
 from depegwatch.core import (
+    EventStream,
+    LiquidityEvent,
     MetricSeries,
     MissingPriceError,
     NumericalError,
+    PriceSample,
+    ReserveSnapshot,
+    TradeEvent,
     ValidationError,
     bucket_end,
 )
@@ -743,6 +760,90 @@ def arb_size(state: PoolState, i: int, j: int, target_ratio: float) -> float:
     return lo
 
 
+def run_scenario(cfg):
+    """``simulator.run_scenario`` as it stepped one ``PoolState`` per trade:
+    every swap, marginal price and arbitrage trial goes through the
+    D-resolving functions above (reference for the balance-list loop)."""
+    paths = {token: simulator.external_price_path(cfg, token)
+             for token in cfg.tokens}
+    rng = simulator._stream_rng(cfg.seed, simulator._AGENT_STREAM)
+    state = cfg.pool
+    trades, liquidity, snapshots, price_samples = [], [], [], []
+    truncated = False
+    for token in cfg.tokens:
+        price_samples.append(PriceSample(0, token,
+                                         float(paths[token].values[0])))
+    min_balance = 1e-9 * max(cfg.pool.balances)
+    n_steps = cfg.duration // cfg.step
+    for k in range(1, n_steps + 1):
+        t = k * cfg.step
+        ext = {token: float(paths[token].values[k]) for token in cfg.tokens}
+
+        def try_swap(i, j, dx, trader):
+            nonlocal state
+            if dx <= 0:
+                return
+            new_state, dy = apply_swap(state, i, j, dx)
+            if dy <= 0 or new_state.balances[j] <= min_balance:
+                raise ValidationError("pool drained")
+            state = new_state
+            trades.append(TradeEvent(t, trader, cfg.tokens[i], dx,
+                                     cfg.tokens[j], dy))
+
+        try:
+            for token in simulator._informed_targets(cfg, t):
+                if cfg.n_informed <= 0:
+                    break
+                i = cfg.tokens.index(token)
+                j = 1 if i == 0 else 0
+                per_agent = (cfg.informed_fraction * state.balances[i]
+                             / cfg.n_informed)
+                for a in range(cfg.n_informed):
+                    try_swap(i, j, per_agent, f"informed_{a}")
+            for i in range(len(cfg.tokens)):
+                for j in range(len(cfg.tokens)):
+                    if i == j:
+                        continue
+                    ratio = ext[cfg.tokens[i]] / ext[cfg.tokens[j]]
+                    if (marginal_price(state, i, j) / ratio - 1.0
+                            > cfg.arb_threshold):
+                        try_swap(i, j, arb_size(state, i, j, ratio), "arb")
+            for a in range(cfg.n_noise_traders):
+                i = int(rng.integers(0, len(cfg.tokens)))
+                j = int(rng.integers(0, len(cfg.tokens) - 1))
+                if j >= i:
+                    j += 1
+                size = cfg.noise_fraction * state.balances[i] * \
+                    math.exp(0.5 * rng.standard_normal())
+                try_swap(i, j, size, f"noise_{a}")
+            if cfg.lp_event_prob > 0 and rng.random() < cfg.lp_event_prob:
+                frac = cfg.lp_fraction * (0.5 + rng.random())
+                sign = 1.0 if rng.random() < 0.5 else -1.0
+                deltas = {token: sign * frac * bal
+                          for token, bal in zip(cfg.tokens, state.balances)}
+                lp_delta = sign * frac * state.lp_supply
+                balances = tuple(b + deltas[token] for token, b
+                                 in zip(cfg.tokens, state.balances))
+                state = replace(state, balances=balances,
+                                lp_supply=state.lp_supply + lp_delta)
+                liquidity.append(LiquidityEvent(t, "lp_0", deltas, lp_delta))
+        except ValidationError:
+            truncated = True
+        for token in cfg.tokens:
+            price_samples.append(PriceSample(t, token, ext[token]))
+        if t % cfg.snapshot_period == 0:
+            snapshots.append(ReserveSnapshot(t, state.balances,
+                                             state.lp_supply))
+        if truncated:
+            break
+    stream = EventStream(pool_id="scenario", tokens=cfg.tokens,
+                         trades=tuple(trades), liquidity=tuple(liquidity),
+                         snapshots=tuple(snapshots))
+    return simulator.ScenarioOutput(
+        stream=stream, prices=tuple(price_samples), external_prices=paths,
+        config=cfg, final_pool=state, truncated=truncated)
+
+
 # ---------------------------------------------------------------------------
 # Nearest-sample price lookup on int64 arrays (reference for PriceTable)
 
@@ -780,3 +881,73 @@ class PriceTable:
                 f"no price for {token.symbol} within {tol}s of ts {ts}"
             )
         return price
+
+
+# ---------------------------------------------------------------------------
+# Trade metrics one trade at a time (reference for the columnar metrics)
+
+
+def _markout(trade, prices, horizon, tolerance):
+    mark = trade.ts + horizon
+    p_out = prices.at(trade.token_out, mark, tolerance)
+    p_in = prices.at(trade.token_in, mark, tolerance)
+    return trade.amount_out * p_out - trade.amount_in * p_in
+
+
+def net_swap_flow(trades, token, window=3600, *, pool_id=""):
+    points = []
+    for trade in trades:
+        if trade.token_out == token:
+            points.append((trade.ts, trade.amount_out))
+        elif trade.token_in == token:
+            points.append((trade.ts, -trade.amount_in))
+    return aggregate(points, window, "sum", metric_name="netSwapFlow",
+                     pool_id=pool_id)
+
+
+def pool_markout_series(trades, prices, horizon=300, window=3600, *,
+                        pool_id="", tolerance=3600):
+    points, skipped = [], 0
+    for trade in trades:
+        try:
+            m = -_markout(trade, prices, horizon, tolerance)
+        except MissingPriceError:
+            skipped += 1
+            continue
+        points.append((trade.ts, m))
+    return aggregate(points, window, "sum", metric_name="markout",
+                     pool_id=pool_id), skipped
+
+
+def classify_sharks(trades, prices, cfg):
+    if not trades:
+        raise ValidationError("shark classification needs a non-empty trade corpus")
+    cumulative = {}
+    for trade in trades:
+        try:
+            m = _markout(trade, prices, cfg.shark_markout_horizon,
+                         cfg.price_tolerance)
+        except MissingPriceError:
+            continue
+        cumulative[trade.trader] = cumulative.get(trade.trader, 0.0) + m
+    if not cumulative:
+        return set()
+    scores = np.array(sorted(cumulative.values()))
+    cutoff = float(np.quantile(scores, 1.0 - cfg.shark_quantile,
+                               method="higher"))
+    return {trader for trader, score in cumulative.items() if score >= cutoff}
+
+
+def shark_flow(trades, sharks, token, window=3600, *, pool_id=""):
+    return net_swap_flow([t for t in trades if t.trader in sharks], token,
+                         window, pool_id=pool_id).with_name("sharkflow")
+
+
+def order_count_buckets(trades, token, bucket=86400):
+    legs = [t for t in trades if token in (t.token_in, t.token_out)]
+    buys = aggregate([(t.ts, float(t.token_out == token)) for t in legs],
+                     bucket, "sum")
+    sells = aggregate([(t.ts, float(t.token_in == token)) for t in legs],
+                      bucket, "sum")
+    return [(int(ts), int(b), int(s)) for ts, b, s
+            in zip(buys.timestamps, buys.values, sells.values)]

@@ -285,6 +285,24 @@ class TestPriceTable:
             assert type(got) is type(ref.lookup(token, ts, tol))
             assert at(table, token, ts, tol) == at(ref, token, ts, tol)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=st.lists(st.tuples(st.integers(0, 6).map(lambda k: 10 * k),
+                                   st.sampled_from("AB"),
+                                   st.floats(1e-6, 1e6)), max_size=12),
+        times=st.lists(st.integers(-3, 15).map(lambda k: 5 * k), max_size=20),
+        tol=st.sampled_from([0, 4, 5, 10, 15, 30]),
+    )
+    def test_lookup_all_equals_lookup(self, samples, times, tol):
+        # the grids of test_lookup_equals_array_oracle; NaN stands for None
+        table = PriceTable([PriceSample(ts, TokenId(sym), px)
+                            for ts, sym, px in samples])
+        for sym in "ABC":
+            token = TokenId(sym)
+            got = table.lookup_all(token, np.array(times, dtype=np.int64), tol)
+            assert [None if math.isnan(p) else p for p in got.tolist()] == [
+                table.lookup(token, ts, tol) for ts in times]
+
 
 class TestGammaln:
     """The port of cephes ``lgam`` against ``scipy.special.gammaln``, the

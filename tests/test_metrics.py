@@ -569,6 +569,115 @@ class TestOrderCountBuckets:
                            (4 * day, 0, 1)]
 
 
+C, D = TokenId("CCC"), TokenId("DDD")  # C has prices and no trades; D neither
+
+
+def _series(series):
+    return series.metric_name, series.timestamps.tolist(), series.values.tolist()
+
+
+class TestTradeColumnsOracle:
+    """The columnar trade metrics equal the per-trade loops of
+    ``oracles``, given the trades or their ``TradeColumns``: series under
+    ``tolist()``, skipped counts, shark sets and bucket counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(
+            st.integers(0, 120).map(lambda k: 50 * k),
+            st.sampled_from(["t0", "t1", "t2", "t3"]),
+            st.sampled_from([(A, B), (B, A), (A, D), (D, B),
+                             (TokenId("AAA"), B)]),
+            st.floats(1e-3, 1e6), st.floats(1e-3, 1e6)), max_size=40),
+        samples=st.lists(st.tuples(
+            st.integers(0, 70).map(lambda k: 100 * k),
+            st.sampled_from([A, B, C]), st.floats(0.5, 2.0)), max_size=40),
+        horizon=st.sampled_from([50, 100, 300]),
+        tolerance=st.sampled_from([1, 50, 100, 3600]),
+        window=st.sampled_from([100, 3600]),
+        quantile=st.sampled_from([0.01, 0.3, 0.5]),
+        in_order=st.booleans(),
+    )
+    def test_equal_per_trade_oracle(self, rows, samples, horizon, tolerance,
+                                    window, quantile, in_order):
+        # Trades on a 50 s grid and prices on a 100 s grid: duplicate price
+        # times, equidistant ties and missing mark prices (D never has one)
+        # are common; an equal but distinct AAA exercises token equality.
+        trades = [TradeEvent(ts, who, pair[0], a_in, pair[1], a_out)
+                  for ts, who, pair, a_in, a_out in rows]
+        if in_order:
+            trades.sort(key=lambda t: t.ts)
+        prices = PriceTable(PriceSample(ts, token, px)
+                            for ts, token, px in samples)
+        cfg = MetricConfig(shark_markout_horizon=horizon,
+                           price_tolerance=tolerance, shark_quantile=quantile)
+        try:
+            ref_sharks = oracles.classify_sharks(trades, prices, cfg)
+        except ValidationError:
+            ref_sharks = None
+        ref_markout, ref_skipped = oracles.pool_markout_series(
+            trades, prices, horizon, window, pool_id="p", tolerance=tolerance)
+        for given_trades in (trades, metrics.TradeColumns(trades)):
+            markout, skipped = pool_markout_series(
+                given_trades, prices, horizon, window, pool_id="p",
+                tolerance=tolerance)
+            assert _series(markout) == _series(ref_markout)
+            assert skipped == ref_skipped
+            if ref_sharks is None:
+                with pytest.raises(ValidationError):
+                    classify_sharks(given_trades, prices, cfg)
+                sharks = {"t1"}
+            else:
+                sharks = classify_sharks(given_trades, prices, cfg)
+                assert sharks == ref_sharks
+            for token in (A, B, C, D):
+                assert _series(net_swap_flow(given_trades, token, window,
+                                             pool_id="p")) == _series(
+                    oracles.net_swap_flow(trades, token, window, pool_id="p"))
+                assert _series(shark_flow(given_trades, sharks, token,
+                                          window)) == _series(
+                    oracles.shark_flow(trades, sharks, token, window))
+                assert order_count_buckets(given_trades, token, window) == \
+                    oracles.order_count_buckets(trades, token, window)
+
+    def test_empty_stream(self):
+        prices = flat_prices()
+        for trades in ([], metrics.TradeColumns([])):
+            assert len(net_swap_flow(trades, A)) == 0
+            assert len(shark_flow(trades, {"t"}, A)) == 0
+            assert order_count_buckets(trades, A) == []
+            series, skipped = pool_markout_series(trades, prices)
+            assert len(series) == 0 and skipped == 0
+            with pytest.raises(ValidationError):
+                classify_sharks(trades, prices, MetricConfig())
+
+    def test_non_positive_window_rejected(self):
+        trades = [TradeEvent(100, "t", B, 1.0, A, 1.0)]
+        for window in (0, -3600):
+            with pytest.raises(ValidationError):
+                net_swap_flow(trades, A, window)
+            with pytest.raises(ValidationError):
+                order_count_buckets([], A, window)
+
+    def test_fractional_timestamp_rejected(self):
+        trades = [TradeEvent(100, "t", B, 1.0, A, 1.0),
+                  TradeEvent(3600.5, "t", B, 1.0, A, 1.0)]
+        with pytest.raises(ValidationError, match="whole seconds"):
+            metrics.TradeColumns(trades)
+
+    def test_columns_codes(self):
+        trades = [TradeEvent(100, "t1", B, 1.0, A, 2.0),
+                  TradeEvent(50, "t0", TokenId("AAA"), 3.0, B, 4.0)]
+        cols = metrics.TradeColumns(trades)
+        assert len(cols) == 2
+        assert cols.tokens == [B, A] and cols.traders == ["t1", "t0"]
+        assert cols.ts.tolist() == [100, 50]
+        assert cols.token_in.tolist() == [0, 1]
+        assert cols.token_out.tolist() == [1, 0]
+        assert cols.trader.tolist() == [0, 1]
+        assert cols.code(A) == 1 and cols.code(C) == -1
+
+
 def test_package_never_imports_scipy_optimize():
     # the Nelder-Mead search and log Gamma are the package's own; importing
     # any of scipy would cost every command its load time and resident memory

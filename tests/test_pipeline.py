@@ -579,7 +579,8 @@ _BAD_DOCUMENTS = [
           ("log-joint-inf", {"log_joint": [math.inf]}),
           ("mu-inf", {"mu": [math.inf]}),
           ("beta-zero", {"beta": [0.0]}),
-          ("beta-nan", {"beta": [math.nan]}))),
+          ("beta-nan", {"beta": [math.nan]}),
+          ("beta-inf", {"beta": [math.inf]}))),
     pytest.param("verify", json.dumps({"outputs": [1]}),
                  id="manifest-outputs-list"),
     pytest.param("verify", json.dumps({"outputs": "x"}),

@@ -3,7 +3,12 @@ import pytest
 
 import oracles
 from depegwatch import simulator
-from depegwatch.core import PriceTable, TokenId, ValidationError
+from depegwatch.core import (
+    NumericalError,
+    PriceTable,
+    TokenId,
+    ValidationError,
+)
 from depegwatch.evaluation import label_depegs
 from depegwatch.metrics import net_swap_flow
 from depegwatch.simulator import (
@@ -119,7 +124,7 @@ class TestRunScenario:
         assert tuple(balances) == out.final_pool.balances
         assert lp == out.final_pool.lp_supply
 
-    def test_swaps_equal_oracle_that_resolves_d(self, monkeypatch):
+    def test_swaps_equal_oracle_that_resolves_d(self):
         cfg = scenario(seed=5, duration=2 * DAY, start_day=1, target=0.9,
                        noise_vol=1e-3, n_noise_traders=3,
                        tokens=(USDX, USDY, USDZ),
@@ -127,11 +132,7 @@ class TestRunScenario:
                                       lp_supply=1.2e7),
                        peg_prices={USDX: 1.0, USDY: 1.0, USDZ: 1.0})
         out = run_scenario(cfg)
-        monkeypatch.setattr(simulator, "apply_swap", oracles.apply_swap)
-        monkeypatch.setattr(simulator, "marginal_price",
-                            oracles.marginal_price)
-        monkeypatch.setattr(simulator, "_arb_size", oracles.arb_size)
-        ref = run_scenario(cfg)
+        ref = oracles.run_scenario(cfg)
         assert sum(t.trader == "arb" for t in out.stream.trades) > 10
         assert out.stream.trades == ref.stream.trades
         assert out.prices == ref.prices
@@ -196,6 +197,84 @@ class TestRunScenario:
         out = run_scenario(scenario())
         trade_ts = [t.ts for t in out.stream.trades]
         assert trade_ts == sorted(trade_ts)
+
+
+def _drain(**overrides):
+    # informed sellers dump 20x the pool's balance into a near
+    # constant-sum pool until a swap would leave the other side drained
+    kwargs = dict(seed=10, duration=2 * DAY, start_day=1, fee=0.0,
+                  pool=PoolState((1e6, 1e6), amp=2000.0, fee=0.0,
+                                 lp_supply=2e6),
+                  n_informed=2, informed_fraction=20.0,
+                  informed_lead=12 * 3600)
+    return scenario(**{**kwargs, **overrides})
+
+
+class TestScenarioOracle:
+    """``run_scenario`` on a balance list and one cached D equals the loop
+    that stepped a ``PoolState`` per trade and re-solved D on every call,
+    field for field."""
+
+    @pytest.mark.parametrize("cfg", [
+        scenario(seed=3, duration=DAY, start_day=0, target=0.85,
+                 noise_vol=1e-3, n_noise_traders=4, tokens=(USDX, USDY, USDZ),
+                 pool=PoolState((3e6, 4e6, 5e6), amp=100.0, fee=0.0004,
+                                lp_supply=1.2e7),
+                 peg_prices={USDX: 1.0, USDY: 1.0, USDZ: 1.0}),
+        # no noise trader swaps after the arbitrage checks, so an LP event
+        # changes balances whose D is already solved
+        scenario(seed=8, duration=DAY, start_day=0, lp_event_prob=0.6,
+                 lp_fraction=0.05, recovery=DAY // 4, noise_vol=1e-3,
+                 n_noise_traders=0),
+        scenario(seed=9, duration=DAY, start_day=0, fee=0.0, noise_vol=1e-3,
+                 pool=PoolState((2e6, 6e6), amp=1.0, fee=0.0,
+                                lp_supply=8e6)),
+        _drain(),
+        # a withdrawal of more than the pool holds
+        scenario(seed=12, duration=DAY, lp_event_prob=0.3, lp_fraction=1.0),
+    ], ids=["three-tokens", "frequent-lp", "fee-0", "drained", "over-withdrawn"])
+    def test_equals_state_per_trade_loop(self, cfg):
+        out = run_scenario(cfg)
+        ref = oracles.run_scenario(cfg)
+        assert out.stream == ref.stream
+        assert out.prices == ref.prices
+        assert out.final_pool == ref.final_pool
+        assert out.truncated == ref.truncated
+        assert out.config is cfg and ref.config is cfg
+        for token in cfg.tokens:
+            assert (out.external_prices[token].values.tolist()
+                    == ref.external_prices[token].values.tolist())
+        assert len(out.stream.trades) > 10
+
+    def test_truncation_cases_truncate(self):
+        assert run_scenario(_drain()).truncated
+        assert run_scenario(scenario(seed=12, duration=DAY, lp_event_prob=0.3,
+                                     lp_fraction=1.0)).truncated
+
+    def test_non_convergence_raises_like_the_oracle(self):
+        cfg = _drain(informed_fraction=0.6,
+                     pool=PoolState((1e6, 1e6), amp=50.0, fee=0.0,
+                                    lp_supply=2e6))
+        with pytest.raises(NumericalError) as err:
+            run_scenario(cfg)
+        with pytest.raises(NumericalError) as ref:
+            oracles.run_scenario(cfg)
+        assert str(err.value) == str(ref.value)
+
+    def test_one_d_per_balance_change(self, monkeypatch):
+        solved = []
+        kernel = simulator._d
+
+        def counting(balances, amp):
+            solved.append(tuple(balances))
+            return kernel(balances, amp)
+
+        monkeypatch.setattr(simulator, "_d", counting)
+        out = run_scenario(scenario(seed=4, duration=DAY, noise_vol=1e-3))
+        # the initial pool plus at most one per trade and per LP event
+        assert len(solved) <= (1 + len(out.stream.trades)
+                               + len(out.stream.liquidity))
+        assert len(set(solved)) == len(solved)
 
 
 class TestSlippageExperiment:
