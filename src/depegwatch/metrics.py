@@ -108,7 +108,7 @@ def gini(balances: Sequence[float]) -> float:
 
 class TradeColumns:
     """A trade stream as arrays, one row per trade in the given order:
-    ``ts`` (int64 seconds), ``amount_in`` and ``amount_out``, and the codes
+    ``ts`` (int64 seconds; whole float seconds are cast), ``amount_in`` and ``amount_out``, and the codes
     ``token_in``, ``token_out`` (into ``tokens``) and ``trader`` (into
     ``traders``), both lists in order of first appearance.
 
@@ -121,8 +121,10 @@ class TradeColumns:
             trades = list(trades)
         # one column at a time, so no per-trade row is ever built
         ts = np.array([t.ts for t in trades])
-        if ts.size and ts.dtype.kind not in "iu":
-            # aggregate would bucket a fractional second; int64 would cut it
+        if ts.size and ts.dtype.kind not in "iu" and not (
+                ts.dtype.kind == "f"
+                and np.all(np.isfinite(ts) & (ts == np.floor(ts)))):
+            # int64 would cut a fractional second
             raise ValidationError("trade timestamps must be whole seconds")
         self.ts = ts.astype(np.int64)
         self.amount_in = np.array([t.amount_in for t in trades], dtype=float)
@@ -158,6 +160,9 @@ def _bucket_sums(ts: np.ndarray, values: np.ndarray, period: int,
     loop does."""
     if period <= 0:
         raise ValidationError("period must be positive")
+    if not float(period).is_integer():
+        raise ValidationError("period must be whole seconds")
+    period = int(period)  # int64 labels and slots, as for int timestamps
     if not ts.size:
         return MetricSeries(metric_name, pool_id, np.array([], dtype=np.int64),
                             np.array([], dtype=np.float64))

@@ -8,10 +8,10 @@ Two float kernels over balance tuples do the work: ``_d`` solves it for D
 by Newton's method with a bisection fallback, and ``_dy`` holds D fixed
 and solves for the counter-balance of a swap. D is solved once per pool
 state (``PoolState.d``) or per priced trial (``_price_after``), never with
-a residual unless ``compute_d`` asks for one. ``_swap`` and
-``_price_after`` are the swap and the post-trade price on a plain balance
-list and its D, for callers that step a pool without a ``PoolState`` per
-trade. Everything operates on float64; this is an analytics library, not a
+a residual unless ``compute_d`` asks for one. ``_swap``, which
+``apply_swap`` wraps, and ``_price_after`` are the swap and the post-trade
+price on a plain balance list and its D, for callers that step a pool
+without a ``PoolState`` per trade. Everything operates on float64; this is an analytics library, not a
 fixed-point contract port.
 """
 
@@ -194,19 +194,14 @@ def _check_pair(state: PoolState, i: int, j: int) -> None:
 
 def get_dy(state: PoolState, i: int, j: int, dx: float) -> float:
     """Output amount of token j for selling dx of token i, after the fee."""
-    _check_pair(state, i, j)
-    if dx < 0:
-        raise ValidationError("dx must be non-negative")
-    if dx == 0:
-        return 0.0
-    return _dy(state.balances, state.amp, state.d, i, j, dx) * (1.0 - state.fee)
+    return apply_swap(state, i, j, dx)[1]
 
 
 def _swap(balances: Sequence[float], amp: float, fee: float, d: float, i: int,
           j: int, dx: float) -> tuple[list[float], float]:
-    """``apply_swap`` on a balance list whose invariant is ``d``: the new
-    balances and the output after the fee, bit for bit and with the same
-    checks. The pair (i, j) must be valid; ``d`` is unused when dx == 0."""
+    """The swap on a balance list whose invariant is ``d``: the new
+    balances and the output after the fee, which stays in the pool. The
+    pair (i, j) must be valid; ``d`` is unused unless dx > 0."""
     if dx < 0:
         raise ValidationError("dx must be non-negative")
     dy = 0.0 if dx == 0 else _dy(balances, amp, d, i, j, dx) * (1.0 - fee)
@@ -220,11 +215,11 @@ def _swap(balances: Sequence[float], amp: float, fee: float, d: float, i: int,
 
 def apply_swap(state: PoolState, i: int, j: int, dx: float) -> tuple[PoolState, float]:
     """Execute the swap on a copy of the state; the fee remains in the pool."""
-    dy = get_dy(state, i, j, dx)
-    balances = list(state.balances)
-    balances[i] += dx
-    balances[j] -= dy
-    return PoolState(tuple(balances), state.amp, state.fee, state.lp_supply), dy
+    _check_pair(state, i, j)
+    # D is solved only when the swap prices; dx < 0 fails its own check
+    d = 0.0 if dx <= 0 else state.d
+    after, dy = _swap(state.balances, state.amp, state.fee, d, i, j, dx)
+    return PoolState(tuple(after), state.amp, state.fee, state.lp_supply), dy
 
 
 def virtual_price(state: PoolState) -> float:

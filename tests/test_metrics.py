@@ -658,12 +658,38 @@ class TestTradeColumnsOracle:
                 net_swap_flow(trades, A, window)
             with pytest.raises(ValidationError):
                 order_count_buckets([], A, window)
+        for window in (1800.5, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="whole seconds"):
+                net_swap_flow(trades, A, window)
+            with pytest.raises(ValidationError, match="whole seconds"):
+                order_count_buckets([], A, window)
+
+    def test_whole_float_window_equals_int(self):
+        trades = [TradeEvent(100, "t", B, 1.0, A, 1.0),
+                  TradeEvent(7300, "u", A, 2.0, B, 2.0)]
+        for flow in (net_swap_flow(trades, A, 3600.0),
+                     net_swap_flow(trades, A, np.float64(3600))):
+            assert flow.timestamps.dtype == np.int64
+            assert _series(flow) == _series(net_swap_flow(trades, A, 3600))
+        assert order_count_buckets(trades, A, 3600.0) == \
+            order_count_buckets(trades, A, 3600)
 
     def test_fractional_timestamp_rejected(self):
-        trades = [TradeEvent(100, "t", B, 1.0, A, 1.0),
-                  TradeEvent(3600.5, "t", B, 1.0, A, 1.0)]
-        with pytest.raises(ValidationError, match="whole seconds"):
-            metrics.TradeColumns(trades)
+        for bad in (3600.5, math.inf):
+            trades = [TradeEvent(100, "t", B, 1.0, A, 1.0),
+                      TradeEvent(bad, "t", B, 1.0, A, 1.0)]
+            with pytest.raises(ValidationError, match="whole seconds"):
+                metrics.TradeColumns(trades)
+
+    def test_whole_float_timestamps_equal_int(self):
+        ints = [TradeEvent(100, "t", B, 1.0, A, 1.0),
+                TradeEvent(3600, "u", A, 2.0, B, 2.0)]
+        floats = [TradeEvent(100.0, "t", B, 1.0, A, 1.0),
+                  TradeEvent(3600, "u", A, 2.0, B, 2.0)]
+        cols = metrics.TradeColumns(floats)
+        assert cols.ts.dtype == np.int64 and cols.ts.tolist() == [100, 3600]
+        assert _series(net_swap_flow(floats, A)) == _series(
+            net_swap_flow(ints, A))
 
     def test_columns_codes(self):
         trades = [TradeEvent(100, "t1", B, 1.0, A, 2.0),
