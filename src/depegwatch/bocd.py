@@ -8,13 +8,16 @@ the thousands underflow linear space: pruning compares each log-joint with
 the step's normaliser plus log(prob_floor), and the MAP run length is the
 log-joint's argmax.
 
-One kernel advances a block of detectors that share hazard, pruning and
-predictive scale but not their prior. The block is factored over the prior
-grid's (alpha, beta, kappa) axes: the log-joint has one row per prior, but
-each other quantity is kept once per axis value it depends on, and numpy
-broadcasting forms the predictive with the same operations in the same
-order as one row per prior would. :func:`detect_batch` runs a whole grid at
-once, and the online :func:`step` is the 1x1x1 case. The Student-t
+:func:`detect_batch` advances a block of detectors that share hazard,
+pruning and predictive scale but not their prior. The block is factored
+over the prior grid's (alpha, beta, kappa) axes: the log-joint has one row
+per prior, but each other quantity is kept once per axis value it depends
+on, and numpy broadcasting forms the predictive with the same operations in
+the same order as one row per prior would. The online :func:`step` works on
+one detector's flat per-hypothesis arrays. Both form the Student-t
+predictive and the Normal-Gamma update in one helper, and each equals its
+reference in the tests bit for bit: the block equals one row per prior, and
+the step equals the batched kernel on a 1x1x1 grid. The Student-t
 normaliser comes from :func:`depegwatch.core.gammaln`, a port of the cephes
 routine behind ``scipy.special.gammaln`` that equals it bit for bit; scipy
 is only a test dependency.
@@ -30,6 +33,7 @@ Two predictive-scale conventions are supported:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
@@ -187,6 +191,29 @@ def _row_lse(values: np.ndarray) -> np.ndarray:
     return peak[:, 0] + np.log(np.exp(values - peak).sum(axis=1))
 
 
+def _predict_update(x: float, mu: np.ndarray, beta: np.ndarray, tables,
+                    predictive_scale: str, mu_out: np.ndarray,
+                    beta_out: np.ndarray) -> np.ndarray:
+    """The Student-t log predictive of ``x`` under hypotheses with
+    Normal-Gamma means ``mu`` and rates ``beta``, whose run lengths
+    ``tables`` describe (the eight tables of :class:`_Tables` in order,
+    broadcasting against ``mu`` and ``beta``). Writes each hypothesis's
+    conjugate update by ``x`` to ``mu_out`` and ``beta_out``, which may be
+    ``mu`` and ``beta``."""
+    kappa, kappa1, two_kappa1, alpha_kappa, nu, nu_pi, half_nu1, log_norm = \
+        tables
+    if predictive_scale == "paper":
+        sigma_sq = beta / alpha_kappa
+    else:
+        sigma_sq = beta * kappa1 / alpha_kappa
+    dev_sq = (x - mu) ** 2
+    log_pred = (log_norm - 0.5 * np.log(nu_pi * sigma_sq)
+                - half_nu1 * np.log1p(dev_sq / (nu * sigma_sq)))
+    np.add(beta, kappa * dev_sq / two_kappa1, out=beta_out)
+    np.divide(kappa * mu + x, kappa1, out=mu_out)
+    return log_pred
+
+
 def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
              beta: np.ndarray, tables: _Tables, runs: np.ndarray,
              prior_mu, prior_beta, cfg: DetectorConfig, t: int):
@@ -215,21 +242,13 @@ def _advance(x: float, log_joint: np.ndarray, mu: np.ndarray,
     """
     h = hazard(cfg)
     m, b = mu[..., 1:], beta[..., 1:]
-    if cfg.predictive_scale == "paper":
-        sigma_sq = b / tables.alpha_kappa
-    else:
-        sigma_sq = b * tables.kappa1 / tables.alpha_kappa
-    dev_sq = (x - m) ** 2
-    log_pred = (tables.log_norm - 0.5 * np.log(tables.nu_pi * sigma_sq)
-                - tables.half_nu1 * np.log1p(dev_sq / (tables.nu * sigma_sq)))
+    log_pred = _predict_update(x, m, b, tables, cfg.predictive_scale, m, b)
     weighted = log_joint[:, 1:] + log_pred.reshape(log_joint.shape[0], -1)
     lse = _row_lse(weighted)
     if not np.isfinite(lse).all():
         raise NumericalError(f"observation at step {t}: no finite likelihood")
     log_joint[:, 0] = lse + math.log(h)
     np.add(weighted, math.log1p(-h), out=log_joint[:, 1:])
-    b += tables.kappa * dev_sq / tables.two_kappa1
-    m[...] = (tables.kappa * m + x) / tables.kappa1
     mu[..., 0] = prior_mu
     beta[..., 0] = prior_beta
 
@@ -276,11 +295,14 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     fresh run-length-zero hypothesis absorbs the hazard-weighted mass of all
     predecessors. A changepoint is emitted at this step whenever the MAP run
     length breaks the previous MAP's continuation (gamma_t != gamma_{t-1}+1);
-    ties at the argmax resolve to the smallest run length. This is the
-    batched kernel on a 1x1x1 grid.
+    ties at the argmax resolve to the smallest run length. Pruning follows
+    :func:`_advance`. The step works on the state's flat arrays with the
+    floating-point operations of the batched kernel on a 1x1x1 grid, in the
+    same order, so it equals that kernel bit for bit.
     """
     if not math.isfinite(x):
         raise ValidationError(f"observation at step {state.t + 1} is not finite")
+    t = state.t + 1
     n = state.runs.size
     oldest = int(state.runs[-1])
     # table length: a power of two past the oldest run, capped at the
@@ -288,28 +310,52 @@ def step(state: RunLengthState, x: float, cfg: DetectorConfig,
     stacked = _prior_tables(cfg.prior.alpha, cfg.prior.kappa,
                             min(cfg.max_run_length + 1,
                                 1 << oldest.bit_length()))
-    # runs are 0..n-1 unless pruning has cut into the middle; each table is
-    # one row, which broadcasts as the 1x1x1 grid's
-    tables = _Tables(*stacked[:, :n] if oldest == n - 1
-                     else stacked[:, state.runs])
-    # the 1x1x1 grid's log_joint, mu and beta
-    block = np.empty((3, 1, 1, n + 1))
-    log_joint, mu, beta = block[0, 0], block[1, 0], block[2]
-    log_joint[0, 1:], mu[0, 1:], beta[0, 0, 1:] = (state.log_joint,
-                                                   state.mu, state.beta)
+    # runs are 0..n-1 unless pruning has cut into the middle
+    tables = stacked[:, :n] if oldest == n - 1 else stacked[:, state.runs]
+    log_joint, mu, beta = np.empty((3, n + 1))
+    weighted = state.log_joint + _predict_update(
+        x, state.mu, state.beta, tables, cfg.predictive_scale, mu[1:],
+        beta[1:])
+    peak = weighted.max()
+    lse = peak + np.log(np.exp(weighted - peak).sum())
+    if not math.isfinite(lse):
+        raise NumericalError(f"observation at step {t}: no finite likelihood")
+    h = hazard(cfg)
+    log_joint[0] = lse + math.log(h)
+    np.add(weighted, math.log1p(-h), out=log_joint[1:])
+    mu[0], beta[0] = cfg.prior.mu, cfg.prior.beta
     runs = np.empty(n + 1, dtype=np.int64)
     runs[0] = 0
     np.add(state.runs, 1, out=runs[1:])
-    t = state.t + 1
-    map_col = _advance(x, log_joint, mu, beta, tables, runs, cfg.prior.mu,
-                       cfg.prior.beta, cfg, t)
-    col = int(map_col[0])
+
+    # one scan finds the pruned hypotheses and those whose likelihood is
+    # zero (-inf); with pruning off the bound is the lowest float, so that
+    # the scan still finds the latter
+    bound = (lse + math.log(cfg.prob_floor) if cfg.prob_floor
+             else -sys.float_info.max)
+    drop = log_joint[1:] < bound
+    if oldest >= cfg.max_run_length:
+        drop[-1] = True
+    gone, = drop.nonzero()
+    if gone.size:
+        gone += 1
+        dropped = log_joint[gone]
+        dropped = dropped[dropped > -math.inf]  # only these hold mass
+        if dropped.size:
+            # reduceat adds as _advance's row segments do; a plain sum
+            # pairs the terms and changes the last bits
+            peak = dropped.max()
+            mass = peak + np.log(np.add.reduceat(np.exp(dropped - peak), [0]))
+            log_joint[0] = np.logaddexp(log_joint[0], mass[0])
+        log_joint[gone] = -math.inf
+    col = int(log_joint.argmax())
     gamma = int(runs[col])
-    map_prob = float(np.exp(log_joint[:, col] - _row_lse(log_joint))[0])
-    log_joint, mu, beta = log_joint[0], mu[0], beta[0, 0]
-    # drop the pruned hypotheses and those whose likelihood became zero
-    if log_joint.min() == -math.inf:
-        live = log_joint > -math.inf
+    peak = log_joint[col]  # the maximum, as a second max would find
+    map_prob = float(np.exp(peak - (peak + np.log(
+        np.exp(log_joint - peak).sum()))))
+    if gone.size:
+        live = np.ones(n + 1, dtype=bool)
+        live[gone] = False
         runs, log_joint, mu, beta = (runs[live], log_joint[live], mu[live],
                                      beta[live])
     new_state = RunLengthState(t=t, runs=runs, log_joint=log_joint, mu=mu,

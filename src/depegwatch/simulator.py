@@ -95,6 +95,8 @@ class ScenarioConfig:
             raise ValidationError("informed_lead must be non-negative")
         if len(self.tokens) != self.pool.n:
             raise ValidationError("token list must match pool balances")
+        if len(set(self.tokens)) != len(self.tokens):
+            raise ValidationError("token list must not repeat a token")
         for token in self.tokens:
             if token not in self.peg_prices:
                 raise ValidationError(f"missing peg price for {token.symbol}")
@@ -155,9 +157,33 @@ def external_price_path(cfg: ScenarioConfig, token: TokenId) -> MetricSeries:
     shocks = rng.standard_normal(n_steps) * cfg.noise_vol if cfg.noise_vol > 0 \
         else np.zeros(n_steps)
     walk = np.concatenate(([0.0], np.cumsum(shocks)))
-    levels = np.array([_level_at(cfg, token, int(t)) for t in times])
     return MetricSeries("externalPrice", token.symbol, times,
-                        levels * np.exp(walk))
+                        _levels(cfg, token, times) * np.exp(walk))
+
+
+def _levels(cfg: ScenarioConfig, token: TokenId,
+            times: np.ndarray) -> np.ndarray:
+    """:func:`_level_at` at each of the ascending ``times``: per step inside
+    an event's ramp or recovery, and once for each stretch between event
+    boundaries outside them, where the level is one constant."""
+    moving = []  # the [begin, end) spans of the token's ramps and recoveries
+    for event in cfg.depeg_events:
+        if event.token == token:
+            ramp_end = event.start + event.ramp
+            moving.append((event.start, ramp_end))
+            if event.recovery is not None:
+                moving.append((ramp_end, ramp_end + event.recovery))
+    edges = [edge for span in moving for edge in span]
+    cuts = sorted({0, times.size, *np.searchsorted(times, edges).tolist()})
+    levels = np.empty(times.size)
+    for a, b in zip(cuts, cuts[1:]):
+        first = int(times[a])
+        if any(begin <= first < end for begin, end in moving):
+            levels[a:b] = [_level_at(cfg, token, t)
+                           for t in times[a:b].tolist()]
+        else:
+            levels[a:b] = _level_at(cfg, token, first)
+    return levels
 
 
 def _informed_targets(cfg: ScenarioConfig, t: int) -> list[TokenId]:

@@ -22,6 +22,12 @@ quantity and every run-length table once per prior, merges pruned rows with
 ``np.unique`` and scans the whole block for the live window every step.
 The factored kernel must equal it bit for bit.
 
+``grid_step`` is ``bocd.step`` from before it worked on the state's flat
+arrays: it copies the state into a 1x1x1 block and runs the batched kernel
+``bocd._advance`` on it, computes the MAP probability with a second row
+log-sum-exp and compacts after a ``min()`` scan. The flat ``step`` must equal
+it bit for bit.
+
 ``run_tables`` and ``pin_counts`` are ``bocd._run_tables`` and
 ``metrics._pin_counts`` from before the library computed log Gamma with its
 own port of cephes ``lgam``: they call ``scipy.special.gammaln`` on every
@@ -82,6 +88,10 @@ from depegwatch.bocd import (
     DetectorConfig,
     NGParams,
     RunLengthPoint,
+    RunLengthState,
+    _advance,
+    _prior_tables,
+    _Tables,
     hazard,
 )
 from depegwatch import simulator
@@ -616,6 +626,49 @@ def batch_detect(series: MetricSeries, priors: Sequence[NGParams],
         live = np.flatnonzero((log_joint[:, lo:end] > -math.inf).any(axis=0))
         end = lo + int(live[-1]) + 1
     return emits, all_runs[:end - lo], log_joint[:, lo:end]
+
+
+def grid_step(state: RunLengthState, x: float, cfg: DetectorConfig,
+              ts=0) -> tuple[RunLengthState, Changepoint | None]:
+    """``bocd.step`` as the batched kernel on a 1x1x1 grid: the state is
+    copied into a (3, 1, 1, n + 1) block, ``bocd._advance`` prunes row-wise,
+    a second row log-sum-exp gives the MAP probability and a ``min()`` scan
+    decides whether to compact."""
+    if not math.isfinite(x):
+        raise ValidationError(f"observation at step {state.t + 1} is not finite")
+    n = state.runs.size
+    oldest = int(state.runs[-1])
+    stacked = _prior_tables(cfg.prior.alpha, cfg.prior.kappa,
+                            min(cfg.max_run_length + 1,
+                                1 << oldest.bit_length()))
+    tables = _Tables(*stacked[:, :n] if oldest == n - 1
+                     else stacked[:, state.runs])
+    block = np.empty((3, 1, 1, n + 1))
+    log_joint, mu, beta = block[0, 0], block[1, 0], block[2]
+    log_joint[0, 1:], mu[0, 1:], beta[0, 0, 1:] = (state.log_joint,
+                                                   state.mu, state.beta)
+    runs = np.empty(n + 1, dtype=np.int64)
+    runs[0] = 0
+    np.add(state.runs, 1, out=runs[1:])
+    t = state.t + 1
+    map_col = _advance(x, log_joint, mu, beta, tables, runs, cfg.prior.mu,
+                       cfg.prior.beta, cfg, t)
+    col = int(map_col[0])
+    gamma = int(runs[col])
+    map_prob = float(np.exp(log_joint[:, col] - _row_lse(log_joint))[0])
+    log_joint, mu, beta = log_joint[0], mu[0], beta[0, 0]
+    if log_joint.min() == -math.inf:
+        live = log_joint > -math.inf
+        runs, log_joint, mu, beta = (runs[live], log_joint[live], mu[live],
+                                     beta[live])
+    new_state = RunLengthState(t=t, runs=runs, log_joint=log_joint, mu=mu,
+                               beta=beta, prev_gamma=gamma,
+                               map_probability=map_prob)
+    changepoint = None
+    if gamma != state.prev_gamma + 1:
+        changepoint = Changepoint(ts=ts, step=t, map_run_length=gamma,
+                                  probability=map_prob)
+    return new_state, changepoint
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from oracles import (
     ScalarState,
     batch_detect,
     brute_force_run_length_posteriors,
+    grid_step,
     log_sum_exp,
     ng_update,
     posterior,
@@ -183,6 +184,118 @@ class TestStep:
             step(state, x, cfg)
 
 
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+def assert_steps_equal_grid_oracle(state, values, cfg):
+    """Feed ``values`` to ``step`` and to the 1x1x1 grid oracle from
+    ``state`` and compare every output bit for bit; an observation that
+    raises must raise the same error in both."""
+    got = want = state
+    with np.errstate(all="ignore"):
+        for k, x in enumerate(values):
+            try:
+                want, want_cp = grid_step(want, x, cfg, ts=k)
+            except NumericalError as err:
+                with pytest.raises(NumericalError, match=str(err)):
+                    step(got, x, cfg, ts=k)
+                return
+            got, cp = step(got, x, cfg, ts=k)
+            assert cp == want_cp
+            assert (got.t, got.prev_gamma) == (want.t, want.prev_gamma)
+            assert bits(got.map_probability) == bits(want.map_probability)
+            assert np.array_equal(got.runs, want.runs)
+            for name in ("log_joint", "mu", "beta"):
+                assert np.array_equal(bits(getattr(got, name)),
+                                      bits(getattr(want, name))), name
+
+
+class TestStepEqualsGridOracle:
+    """``step`` on flat arrays against the batched kernel on a 1x1x1
+    grid."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_random_runs(self, data):
+        pruning = data.draw(st.sampled_from([
+            {}, {"prob_floor": 0.0}, {"max_run_length": 4},
+            {"prob_floor": 0.0, "max_run_length": 6}]))
+        cfg = DetectorConfig(
+            hazard_lambda=data.draw(st.sampled_from([3.0, 20.0, 100.0])),
+            prior=NGParams(data.draw(st.floats(-2.0, 2.0)),
+                           data.draw(st.floats(0.05, 20.0)),
+                           data.draw(st.floats(1e-3, 1e3)),
+                           data.draw(st.floats(0.05, 20.0))),
+            predictive_scale=data.draw(st.sampled_from(["paper", PP])),
+            **pruning)
+        state = init_state(cfg)
+        if data.draw(st.booleans()):
+            # a resumed state whose runs need not be 0..n-1
+            runs = sorted(data.draw(st.sets(
+                st.integers(0, min(cfg.max_run_length, 60)), min_size=1,
+                max_size=12)))
+            size = st.lists(st.floats(-40.0, 0.0), min_size=len(runs),
+                            max_size=len(runs))
+            state = RunLengthState(
+                t=runs[-1] + data.draw(st.integers(0, 5)),
+                runs=np.array(runs, dtype=np.int64),
+                log_joint=np.array(data.draw(size)),
+                mu=np.array(data.draw(size)) / 10.0,
+                beta=np.exp(np.array(data.draw(size)) / 5.0),
+                prev_gamma=data.draw(st.sampled_from(runs)))
+        values = data.draw(st.lists(st.one_of(
+            st.floats(-6.0, 6.0), st.sampled_from([1e154, -1e154])),
+            max_size=40))
+        assert_steps_equal_grid_oracle(state, values, cfg)
+
+    @pytest.mark.parametrize("mode", ["paper", PP])
+    @pytest.mark.parametrize("prob_floor", [DetectorConfig.prob_floor, 0.0],
+                             ids=["default", "off"])
+    def test_zero_likelihood_pattern(self, mode, prob_floor):
+        # run length 2 sees 0 and 1e154, so -1e154 overflows its (x - mu)^2
+        cfg = DetectorConfig(prob_floor=prob_floor, predictive_scale=mode)
+        assert_steps_equal_grid_oracle(init_state(cfg),
+                                       [0.0, 1e154, -1e154, 0.5, -1e154],
+                                       cfg)
+
+    @pytest.mark.parametrize("mode", ["paper", PP])
+    @pytest.mark.parametrize("prob_floor", [DetectorConfig.prob_floor, 0.0],
+                             ids=["default", "off"])
+    def test_long_run(self, mode, prob_floor):
+        # past numpy's 128-element summation blocks, with shifts that
+        # prune into the middle of the runs
+        rng = np.random.default_rng(23)
+        values = np.concatenate([rng.normal(0, 1, 500), rng.normal(3, 2, 200),
+                                 rng.normal(0, 1, 300)]).tolist()
+        cfg = DetectorConfig(prob_floor=prob_floor, predictive_scale=mode)
+        assert_steps_equal_grid_oracle(init_state(cfg), values, cfg)
+
+    def test_capped_run_leaves_with_many_pruned(self):
+        # the run past max_run_length holds most of the mass and leaves
+        # with 19 hypotheses below the floor, so the order in which the
+        # dropped masses are summed shows in run length zero's last bits
+        cfg = DetectorConfig(max_run_length=20)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            log_joint = rng.uniform(-33.0, -29.0, 21)
+            log_joint[0], log_joint[20] = -0.5, 0.0
+            state = RunLengthState(
+                t=30, runs=np.arange(21), log_joint=log_joint,
+                mu=rng.normal(0.0, 0.1, 21), beta=np.ones(21), prev_gamma=20)
+            assert_steps_equal_grid_oracle(state, [0.1], cfg)
+
+    def test_resumed_state_with_gaps(self):
+        cfg = DetectorConfig(predictive_scale=PP, max_run_length=50)
+        state = RunLengthState(
+            t=60, runs=np.array([0, 3, 4, 17, 40, 50]),
+            log_joint=np.array([-3.0, -1.0, -0.5, -2.0, -30.0, -4.0]),
+            mu=np.array([0.0, 0.2, -0.1, 0.4, 1.0, 0.05]),
+            beta=np.array([1.0, 1.3, 0.9, 2.0, 5.0, 1.1]), prev_gamma=4)
+        assert_steps_equal_grid_oracle(
+            state, np.random.default_rng(5).normal(0, 1, 80).tolist(), cfg)
+
+
 class TestExactness:
     @pytest.mark.parametrize("mode", ["paper", PP])
     def test_matches_brute_force_enumeration(self, mode):
@@ -254,11 +367,13 @@ class TestPruning:
         assert (cp is None) == (want_cp is None)
         np.testing.assert_allclose(got.log_joint, want.log_joint, rtol=1e-12)
 
-    def test_zero_likelihood_hypothesis_is_dropped(self):
+    @pytest.mark.parametrize("prob_floor", [DetectorConfig.prob_floor, 0.0],
+                             ids=["default", "off"])
+    def test_zero_likelihood_hypothesis_is_dropped(self, prob_floor):
         # run length 2 has seen 0 and 1e154, so at -1e154 its (x - mu)^2
         # overflows: its likelihood is zero, it holds no mass, and a state
-        # that kept it would carry -inf and inf
-        cfg = DetectorConfig()
+        # that kept it would carry -inf and inf; with pruning off too
+        cfg = DetectorConfig(prob_floor=prob_floor)
         _, _, state = detect_series(make_series([0.0, 1e154, -1e154]), cfg)
         assert state.runs.tolist() == [0, 1]
         assert np.isfinite(state.log_joint).all()

@@ -528,6 +528,9 @@ _BAD_DOCUMENTS = [
     pytest.param("simulate", json.dumps({**_SCENARIO_DOC,
                                          "arb_threshold": None}),
                  id="scenario-arb-threshold-null"),
+    pytest.param("simulate", json.dumps(
+        {**_SCENARIO_DOC, "tokens": [{"symbol": "USDX"}, {"symbol": "USDX"}],
+         "peg_prices": {"USDX": 1.0}}), id="scenario-repeated-token"),
     # values that a loader cast or ignored instead of rejecting
     *(pytest.param("simulate", json.dumps(
         {**_SCENARIO_DOC, "depeg_events": [{**_EVENT, field: value}]}),

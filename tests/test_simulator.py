@@ -74,6 +74,30 @@ class TestExternalPricePath:
         assert path.values[-1] == pytest.approx(1.0, abs=0.0)
         assert path.values.min() == pytest.approx(0.5, abs=1e-12)
 
+    RECOVERING = DepegEvent(USDX, start=DAY + 450, target_price=0.7,
+                            ramp=DAY // 3 + 100, recovery=DAY // 2)
+    PERMANENT = DepegEvent(USDX, start=3 * DAY, target_price=0.9, ramp=7200)
+    # listed after an earlier event of the same token, which it overrides
+    EARLY = DepegEvent(USDX, start=DAY // 2, target_price=0.95, ramp=3600,
+                       recovery=4 * DAY)
+    OTHER = DepegEvent(USDY, start=2 * DAY + 300, target_price=0.6,
+                       ramp=DAY, recovery=2 * DAY)
+
+    @pytest.mark.parametrize("events", [
+        (), (RECOVERING,), (PERMANENT,), (PERMANENT, RECOVERING),
+        (OTHER,), (PERMANENT, EARLY, RECOVERING, OTHER)],
+        ids=["none", "recovering", "permanent", "out-of-order",
+             "other-token", "all"])
+    def test_levels_equal_per_step_levels(self, events):
+        # the level is evaluated once per constant stretch; every byte
+        # equals evaluating it at every step
+        cfg = scenario(noise_vol=0.0, depeg_events=events)
+        for token in cfg.tokens:
+            path = external_price_path(cfg, token)
+            want = np.array([simulator._level_at(cfg, token, int(t))
+                             for t in path.timestamps])
+            assert path.values.tobytes() == want.tobytes()
+
     def test_same_seed_identical_path(self):
         cfg = scenario(noise_vol=5e-4)
         a = external_price_path(cfg, USDX)
