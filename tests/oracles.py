@@ -25,8 +25,9 @@ The factored kernel must equal it bit for bit.
 ``grid_step`` is ``bocd.step`` from before it worked on the state's flat
 arrays: it copies the state into a 1x1x1 block and runs the batched kernel
 ``bocd._advance`` on it, computes the MAP probability with a second row
-log-sum-exp and compacts after a ``min()`` scan. The flat ``step`` must equal
-it bit for bit.
+log-sum-exp and compacts after a ``min()`` scan. ``_advance`` itself is
+checked against ``batch_detect`` below. The flat ``step`` must equal
+``grid_step`` bit for bit.
 
 ``run_tables`` and ``pin_counts`` are ``bocd._run_tables`` and
 ``metrics._pin_counts`` from before the library computed log Gamma with its
