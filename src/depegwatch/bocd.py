@@ -508,9 +508,13 @@ def state_from_dict(doc: dict, source: str = "state"
             <= min(state.t, cfg.max_run_length) and np.all(np.diff(runs) > 0)):
         raise ValidationError(f"{source}: misaligned arrays, or runs outside "
                               "[0, min(t, max_run_length)] or not rising")
-    # json reads NaN and Infinity, which would poison every later step
-    if not ((state.log_joint < math.inf).all() and np.isfinite(state.mu).all()
+    # json reads NaN and Infinity, which would poison every later step; a
+    # log_joint with no finite entry is a posterior with no mass
+    if not ((state.log_joint < math.inf).all()
+            and np.isfinite(state.log_joint).any()
+            and np.isfinite(state.mu).all()
             and (state.beta > 0).all() and np.isfinite(state.beta).all()):
-        raise ValidationError(f"{source}: log_joint must be below +inf, mu "
-                              "finite and beta finite and > 0, with no NaN")
+        raise ValidationError(f"{source}: log_joint must be below +inf and "
+                              "not all -inf, mu finite and beta finite and "
+                              "> 0, with no NaN")
     return state, cfg

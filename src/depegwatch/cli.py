@@ -22,6 +22,7 @@ import click
 from . import bocd, evaluation, metrics, pipeline
 from .core import (
     DEFAULT_PERIOD,
+    EventStream,
     MissingPriceError,
     NumericalError,
     PriceTable,
@@ -105,13 +106,16 @@ def metrics_cmd(data_dir: str, registry_path: str | None, out_dir: str,
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def label(data_dir: str, registry_path: str | None, pool_id: str,
           threshold: float, out_path: str) -> None:
-    """Label true depegs from hourly LP share price vs virtual price."""
+    """Label true depegs from hourly LP share price vs virtual price
+    (reads only reserves.csv and prices.csv)."""
     registry = _registry_for(data_dir, registry_path)
     if pool_id not in registry:
         raise ValidationError(f"unknown pool_id {pool_id!r}")
-    streams, prices = pipeline.ingest(data_dir, registry, DEFAULT_PERIOD)
-    sp, vp = pipeline.share_price_series(streams[pool_id], prices,
-                                         registry[pool_id], DEFAULT_PERIOD)
+    entry = registry[pool_id]
+    snapshots = pipeline.load_reserves(data_dir, registry, DEFAULT_PERIOD)
+    sp, vp = pipeline.share_price_series(
+        EventStream(pool_id, entry.tokens, snapshots=snapshots[pool_id]),
+        pipeline.load_prices(data_dir, registry), entry, DEFAULT_PERIOD)
     cfg = evaluation.ScoringConfig(depeg_threshold=threshold)
     labels = evaluation.label_depegs(sp, vp, cfg)
     pipeline.write_csv(out_path, pipeline.LABELS_HEADER,

@@ -13,7 +13,6 @@ import dataclasses
 import math
 import sys
 import types
-from bisect import bisect_left
 from collections import abc
 from dataclasses import dataclass
 from functools import cache
@@ -184,61 +183,69 @@ class MetricSeries:
                             self.timestamps.copy(), self.values.copy())
 
 
-def bucket_end(ts: Timestamp, period: int) -> Timestamp:
-    """End label of the period bucket containing ``ts``.
+def whole_seconds(ts, what: str = "timestamps") -> np.ndarray:
+    """``ts`` as int64 seconds. Whole float seconds are cast; a fractional,
+    infinite or NaN one raises, since int64 would cut it."""
+    ts = np.asarray(ts)
+    if ts.size and ts.dtype.kind not in "iu" and not (
+            ts.dtype.kind == "f"
+            and np.all(np.isfinite(ts) & (ts == np.floor(ts)))):
+        raise ValidationError(f"{what} must be whole seconds")
+    return ts.astype(np.int64, copy=False)
+
+
+def aggregate_columns(ts, values, period: int = DEFAULT_PERIOD,
+                      mode: str = "sum", *, metric_name: str = "",
+                      pool_id: str = "") -> MetricSeries:
+    """Bucket the points ``(ts[i], values[i])`` into a uniformly spaced series.
 
     Buckets are right-closed, ``((k-1)*period, k*period]``, labelled by their
-    end. ts = 0 opens the first bucket (label = period), so event time zero
-    and an already-bucketed label never collide.
-    """
-    if ts < 0:
-        raise ValidationError("timestamps must be non-negative")
-    label = -(-ts // period) * period
-    return label if label > 0 else period
-
-
-def aggregate(
-    points: Iterable[tuple[Timestamp, float]],
-    period: int = DEFAULT_PERIOD,
-    mode: str = "sum",
-    *,
-    metric_name: str = "",
-    pool_id: str = "",
-) -> MetricSeries:
-    """Bucket raw points into a uniformly spaced series.
-
-    One output point per bucket covering [first, last]; empty buckets get 0
-    in ``sum`` mode and the carried-forward value in ``last`` mode.
-    Empty input yields an empty series. Idempotent at a fixed period.
+    end; ts = 0 opens the first bucket (label = period), so event time zero
+    and an already-bucketed label never collide. One output point per label
+    covering [first, last], with the points taken in stable timestamp
+    order. In ``sum`` mode ``np.bincount`` adds each bucket's values one at
+    a time from 0.0, so an empty bucket is 0; in ``last`` mode a bucket
+    takes its last value, and an empty one carries the previous value
+    forward. Timestamps and ``period`` must be whole seconds. Empty input
+    yields an empty series. Idempotent at a fixed period.
     """
     if period <= 0:
         raise ValidationError("period must be positive")
     if mode not in ("sum", "last"):
         raise ValidationError(f"unknown aggregation mode {mode!r}")
-    pts = sorted(points, key=lambda p: p[0])
-    if not pts:
+    if not float(period).is_integer():
+        raise ValidationError("period must be whole seconds")
+    period = int(period)  # int64 labels and slots, as for int timestamps
+    ts = whole_seconds(ts)
+    if not ts.size:
         return MetricSeries(metric_name, pool_id, np.array([], dtype=np.int64),
                             np.array([], dtype=np.float64))
+    order = np.argsort(ts, kind="stable")
+    ts, values = ts[order], np.asarray(values, dtype=np.float64)[order]
+    if ts[0] < 0:
+        raise ValidationError("timestamps must be non-negative")
+    labels = -(-ts // period) * period
+    labels[labels == 0] = period
+    slots = (labels - labels[0]) // period
+    grid = np.arange(labels[0], labels[-1] + period, period, dtype=np.int64)
+    if mode == "sum":
+        out = np.bincount(slots, weights=values)
+    else:
+        # each filled bucket's last point, then for every bucket the filled
+        # bucket at or before it
+        ends = np.flatnonzero(np.diff(slots, append=slots[-1] + 1))
+        filled = np.searchsorted(slots[ends], np.arange(grid.size), "right")
+        out = values[ends[filled - 1]]
+    return MetricSeries(metric_name, pool_id, grid, out)
 
-    first = bucket_end(pts[0][0], period)
-    last = bucket_end(pts[-1][0], period)
-    labels = np.arange(first, last + period, period, dtype=np.int64)
-    # Python floats add as float64 does, without a numpy scalar per write
-    out = [0.0 if mode == "sum" else None] * labels.size
-    for ts, value in pts:
-        k = (bucket_end(ts, period) - first) // period
-        if mode == "sum":
-            out[k] += value
-        else:
-            out[k] = value
-    if mode == "last":  # an empty bucket carries the previous value forward
-        carried = math.nan
-        for k, value in enumerate(out):
-            if value is None:
-                out[k] = carried
-            else:
-                carried = value
-    return MetricSeries(metric_name, pool_id, labels, out)
+
+def aggregate(points: Iterable[tuple[Timestamp, float]],
+              period: int = DEFAULT_PERIOD, mode: str = "sum", *,
+              metric_name: str = "", pool_id: str = "") -> MetricSeries:
+    """:func:`aggregate_columns` of ``(ts, value)`` points."""
+    pts = list(points)
+    return aggregate_columns([p[0] for p in pts], [p[1] for p in pts], period,
+                             mode, metric_name=metric_name, pool_id=pool_id)
 
 
 def log_diff(series: MetricSeries) -> MetricSeries:
@@ -332,7 +339,8 @@ def gammaln(x: float) -> float:
 
 
 class PriceTable:
-    """Price samples per token with nearest-sample lookup.
+    """Price samples per token with nearest-sample lookup, each token's
+    samples kept once as int64 times and float64 prices in stable time order.
 
     Lookup returns the sample closest to the requested time within the
     tolerance, preferring the earlier sample on exact ties so results do not
@@ -340,30 +348,22 @@ class PriceTable:
     """
 
     def __init__(self, samples: Iterable[PriceSample]):
-        by_token: dict[TokenId, list[tuple[int, float]]] = {}
+        by_token: dict[TokenId, tuple[list, list[float]]] = {}
         for s in samples:
-            by_token.setdefault(s.token, []).append((s.ts, s.usd_price))
-        # Plain lists: bisecting a numpy array boxes every probe.
-        self._data: dict[TokenId, tuple[list[int], list[float]]] = {}
-        for token, pairs in by_token.items():
-            pairs.sort(key=lambda p: p[0])
-            self._data[token] = ([int(p[0]) for p in pairs],
-                                 [float(p[1]) for p in pairs])
+            times, prices = by_token.setdefault(s.token, ([], []))
+            times.append(s.ts)
+            prices.append(s.usd_price)
+        self._data: dict[TokenId, tuple[np.ndarray, np.ndarray]] = {}
+        for token, (times, prices) in by_token.items():
+            times = whole_seconds(times, "price timestamps")
+            order = np.argsort(times, kind="stable")
+            self._data[token] = (times[order],
+                                 np.array(prices, dtype=np.float64)[order])
 
     def lookup(self, token: TokenId, ts: Timestamp, tol: int) -> float | None:
         """Price of ``token`` nearest ``ts`` within ``tol`` seconds, else None."""
-        entry = self._data.get(token)
-        if entry is None:
-            return None
-        times, prices = entry
-        i = bisect_left(times, ts)
-        best: tuple[int, float] | None = None
-        for j in (i - 1, i):
-            if 0 <= j < len(times):
-                dist = abs(times[j] - ts)
-                if dist <= tol and (best is None or dist < best[0]):
-                    best = (dist, prices[j])
-        return None if best is None else best[1]
+        price = float(self.lookup_all(token, np.array([ts]), tol)[0])
+        return None if math.isnan(price) else price
 
     def lookup_all(self, token: TokenId, ts: np.ndarray, tol: int) -> np.ndarray:
         """:meth:`lookup` at every time of the int64 array ``ts``, with NaN
@@ -372,9 +372,8 @@ class PriceTable:
         entry = self._data.get(token)
         if entry is None:
             return out
-        times = np.array(entry[0], dtype=np.int64)
-        prices = np.array(entry[1])
-        i = np.searchsorted(times, ts)  # bisect_left
+        times, prices = entry
+        i = np.searchsorted(times, ts)  # the first sample at or after ts
         before = np.maximum(i - 1, 0)
         after = np.minimum(i, times.size - 1)
         gap_before = ts - times[before]
@@ -401,8 +400,8 @@ class PriceTable:
         entry = self._data.get(token)
         if entry is None:
             raise MissingPriceError(f"no samples for token {token.symbol}")
-        return aggregate(zip(*entry), period, "last",
-                         metric_name="price", pool_id=token.symbol)
+        return aggregate_columns(*entry, period, "last",
+                                 metric_name="price", pool_id=token.symbol)
 
 
 _SCALARS = {int: "an integer", str: "a string"}

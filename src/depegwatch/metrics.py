@@ -1,9 +1,9 @@
 """Trading and composition metrics computed from pool event streams.
 
 Covers pool-composition measures (Shannon entropy, Gini coefficient), flow
-measures (net swap flow, net LP flow, shark flow), price volatility, trade
-markouts, shark classification, and the probability of informed trading
-(PIN) fitted by maximum likelihood. PIN's ``log k!`` comes from
+measures (net swap flow, net LP flow, shark flow), trade markouts, shark
+classification, and the probability of informed trading (PIN) fitted by
+maximum likelihood. PIN's ``log k!`` comes from
 :func:`depegwatch.core.gammaln`, which equals ``scipy.special.gammaln`` bit
 for bit; scipy is only a test dependency.
 """
@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     MetricSeries,
@@ -28,8 +27,9 @@ from .core import (
     TradeEvent,
     LiquidityEvent,
     ValidationError,
-    aggregate,
+    aggregate_columns,
     gammaln,
+    whole_seconds,
 )
 
 
@@ -120,13 +120,7 @@ class TradeColumns:
         if not isinstance(trades, (list, tuple)):
             trades = list(trades)
         # one column at a time, so no per-trade row is ever built
-        ts = np.array([t.ts for t in trades])
-        if ts.size and ts.dtype.kind not in "iu" and not (
-                ts.dtype.kind == "f"
-                and np.all(np.isfinite(ts) & (ts == np.floor(ts)))):
-            # int64 would cut a fractional second
-            raise ValidationError("trade timestamps must be whole seconds")
-        self.ts = ts.astype(np.int64)
+        self.ts = whole_seconds([t.ts for t in trades], "trade timestamps")
         self.amount_in = np.array([t.amount_in for t in trades], dtype=float)
         self.amount_out = np.array([t.amount_out for t in trades], dtype=float)
         tokens: dict[TokenId, int] = {}
@@ -153,29 +147,6 @@ def _columns(trades: Iterable[TradeEvent] | TradeColumns) -> TradeColumns:
     return trades if isinstance(trades, TradeColumns) else TradeColumns(trades)
 
 
-def _bucket_sums(ts: np.ndarray, values: np.ndarray, period: int,
-                 metric_name: str, pool_id: str = "") -> MetricSeries:
-    """``aggregate(zip(ts, values), period, "sum")`` on columns: ``bincount``
-    adds each bucket's values from 0.0 in stable timestamp order, as that
-    loop does."""
-    if period <= 0:
-        raise ValidationError("period must be positive")
-    if not float(period).is_integer():
-        raise ValidationError("period must be whole seconds")
-    period = int(period)  # int64 labels and slots, as for int timestamps
-    if not ts.size:
-        return MetricSeries(metric_name, pool_id, np.array([], dtype=np.int64),
-                            np.array([], dtype=np.float64))
-    order = np.argsort(ts, kind="stable")
-    labels = -(-ts[order] // period) * period  # bucket_end, as for ts > 0
-    labels[labels == 0] = period
-    slots = (labels - labels[0]) // period
-    return MetricSeries(metric_name, pool_id,
-                        np.arange(labels[0], labels[-1] + period, period,
-                                  dtype=np.int64),
-                        np.bincount(slots, weights=values[order]))
-
-
 def _swap_flow(trades: TradeColumns, token: TokenId, window: int,
                metric_name: str, pool_id: str,
                rows: np.ndarray | None = None) -> MetricSeries:
@@ -187,8 +158,8 @@ def _swap_flow(trades: TradeColumns, token: TokenId, window: int,
     if rows is not None:
         legs &= rows
     values = np.where(bought, trades.amount_out, -trades.amount_in)
-    return _bucket_sums(trades.ts[legs], values[legs], window, metric_name,
-                        pool_id)
+    return aggregate_columns(trades.ts[legs], values[legs], window, "sum",
+                             metric_name=metric_name, pool_id=pool_id)
 
 
 def net_swap_flow(trades: Iterable[TradeEvent] | TradeColumns, token: TokenId,
@@ -204,24 +175,10 @@ def net_swap_flow(trades: Iterable[TradeEvent] | TradeColumns, token: TokenId,
 def net_lp_flow(events: Iterable[LiquidityEvent], token: TokenId,
                 window: int = 3600, *, pool_id: str = "") -> MetricSeries:
     """Net amount of ``token`` deposited per window; withdrawals negative."""
-    points = [(e.ts, e.deltas[token]) for e in events if token in e.deltas]
-    return aggregate(points, window, "sum",
-                     metric_name="netLPFlow", pool_id=pool_id)
-
-
-def rolling_volatility(prices: MetricSeries, window: int) -> MetricSeries:
-    """Population std of trailing log returns; starts once the window fills."""
-    if window < 2:
-        raise ValidationError("volatility window must cover >= 2 returns")
-    if np.any(prices.values <= 0):
-        raise ValidationError("volatility requires positive prices")
-    returns = np.diff(np.log(prices.values))
-    if returns.size < window:
-        return MetricSeries(prices.metric_name, prices.pool_id,
-                            np.array([], dtype=np.int64), np.array([]))
-    return MetricSeries(prices.metric_name, prices.pool_id,
-                        prices.timestamps[window:].copy(),
-                        np.std(sliding_window_view(returns, window), axis=1))
+    legs = [e for e in events if token in e.deltas]
+    return aggregate_columns([e.ts for e in legs],
+                             [e.deltas[token] for e in legs], window, "sum",
+                             metric_name="netLPFlow", pool_id=pool_id)
 
 
 def trade_markout(trade: TradeEvent, prices: PriceTable, horizon: int,
@@ -266,8 +223,8 @@ def pool_markout_series(trades: Iterable[TradeEvent] | TradeColumns,
     """
     trades = _columns(trades)
     taker, priced = _taker_markouts(trades, prices, horizon, tolerance)
-    series = _bucket_sums(trades.ts[priced], -taker[priced], window,
-                          "markout", pool_id)
+    series = aggregate_columns(trades.ts[priced], -taker[priced], window,
+                               metric_name="markout", pool_id=pool_id)
     return series, len(trades) - int(priced.sum())
 
 
@@ -634,7 +591,7 @@ def order_count_buckets(trades: Iterable[TradeEvent] | TradeColumns,
     bought = trades.token_out == code
     legs = bought | (trades.token_in == code)
     ts, buy = trades.ts[legs], bought[legs]
-    buys = _bucket_sums(ts, buy.astype(float), bucket, "")
-    sells = _bucket_sums(ts, (~buy).astype(float), bucket, "")
+    buys = aggregate_columns(ts, buy.astype(float), bucket)
+    sells = aggregate_columns(ts, (~buy).astype(float), bucket)
     return [(ts, int(b), int(s)) for ts, b, s in zip(
         buys.timestamps.tolist(), buys.values.tolist(), sells.values.tolist())]

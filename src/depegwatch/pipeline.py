@@ -28,6 +28,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cache
@@ -48,10 +49,10 @@ from .core import (
     TokenId,
     TradeEvent,
     ValidationError,
-    aggregate,
-    bucket_end,
+    aggregate_columns,
     from_json,
     log_diff,
+    whole_seconds,
 )
 from .simulator import ScenarioConfig, ScenarioOutput
 
@@ -159,8 +160,11 @@ def _read(path: str, header: list[str],
 
 def _read_events(path: str, header: list[str], types: Sequence[type],
                  period: int) -> Iterator[tuple[int, list]]:
-    """``_read`` for a pool event file (ts, pool_id, ...): a row's ts may
-    fall at most one period behind the previous row of the same pool."""
+    """``_read`` for a pool event file (ts, pool_id, ...), which may be
+    absent (no rows): a row's ts may fall at most one period behind the
+    previous row of the same pool."""
+    if not os.path.exists(path):
+        return
     last: dict[str, int] = {}
     for lineno, row in _read(path, header, types):
         ts, pool_id = row[0], row[1]
@@ -187,6 +191,109 @@ def _price_samples(path: str, tokens: Mapping[str, TokenId],
     return samples
 
 
+def _token(registry: Mapping[str, PoolRegistryEntry], path: str,
+           lineno: int, pool_id: str, symbol: str) -> TokenId:
+    """The token of pool ``pool_id`` that row ``lineno`` of ``path`` names
+    by ``symbol``."""
+    if pool_id not in registry:
+        raise ValidationError(f"{path}:{lineno}: unknown pool_id {pool_id!r}")
+    for token in registry[pool_id].tokens:
+        if token.symbol == symbol:
+            return token
+    raise ValidationError(
+        f"{path}:{lineno}: token {symbol!r} not in pool {pool_id!r}")
+
+
+def load_trades(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
+                period: int = 3600) -> dict[str, tuple[TradeEvent, ...]]:
+    """Each pool's trades in the bundle, stably sorted by timestamp."""
+    trades: dict[str, list[TradeEvent]] = {p: [] for p in registry}
+    agents: dict[str, str] = {}  # one string per agent name, shared by its rows
+    path = os.path.join(data_dir, "trades.csv")
+    for lineno, (ts, pool_id, trader, sym_in, amount_in, sym_out,
+                 amount_out) in _read_events(
+            path, TRADES_HEADER, (int, str, str, str, float, str, float),
+            period):
+        token_in = _token(registry, path, lineno, pool_id, sym_in)
+        token_out = _token(registry, path, lineno, pool_id, sym_out)
+        try:
+            trade = TradeEvent(
+                ts=ts, trader=agents.setdefault(trader, trader),
+                token_in=token_in, amount_in=amount_in,
+                token_out=token_out, amount_out=amount_out)
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
+        trades[pool_id].append(trade)
+    return {p: tuple(sorted(events, key=lambda e: e.ts))
+            for p, events in trades.items()}
+
+
+def load_liquidity(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
+                   period: int = 3600) -> dict[str, tuple[LiquidityEvent, ...]]:
+    """Each pool's liquidity events in the bundle, stably sorted by
+    timestamp."""
+    liquidity: dict[str, list[LiquidityEvent]] = {p: [] for p in registry}
+    agents: dict[str, str] = {}
+    path = os.path.join(data_dir, "liquidity.csv")
+    rows = _read_events(path, LIQUIDITY_HEADER,
+                        (int, str, str, str, float, float), period)
+    # One event spans consecutive rows, one row per token leg.
+    for (ts, pool_id, provider, lp_delta), legs in itertools.groupby(
+            rows, key=lambda item: itemgetter(0, 1, 2, 5)(item[1])):
+        deltas: dict[TokenId, float] = {}
+        for lineno, (_, _, _, symbol, delta, _) in legs:
+            token = _token(registry, path, lineno, pool_id, symbol)
+            if token in deltas:
+                delta += deltas[token]
+            deltas[token] = delta
+        liquidity[pool_id].append(LiquidityEvent(
+            ts=ts, provider=agents.setdefault(provider, provider),
+            deltas=deltas, lp_token_delta=lp_delta))
+    return {p: tuple(sorted(events, key=lambda e: e.ts))
+            for p, events in liquidity.items()}
+
+
+def load_reserves(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
+                  period: int = 3600) -> dict[str, tuple[ReserveSnapshot, ...]]:
+    """Each pool's reserve snapshots in the bundle, stably sorted by
+    timestamp."""
+    snapshots: dict[str, list[ReserveSnapshot]] = {p: [] for p in registry}
+    path = os.path.join(data_dir, "reserves.csv")
+    grouped: dict[tuple[str, int], tuple[float, dict]] = {}
+    for lineno, (ts, pool_id, symbol, balance, lp_supply) in _read_events(
+            path, RESERVES_HEADER, (int, str, str, float, float), period):
+        token = _token(registry, path, lineno, pool_id, symbol)
+        if balance < 0:
+            raise ValidationError(f"{path}:{lineno}: negative balance")
+        _, balances = grouped.setdefault((pool_id, ts), (lp_supply, {}))
+        balances[token] = balance
+    for (pool_id, ts), (lp_supply, balances) in grouped.items():
+        entry = registry[pool_id]
+        missing = [t.symbol for t in entry.tokens if t not in balances]
+        if missing:
+            raise ValidationError(
+                f"{path}: snapshot at ts {ts} for {pool_id} missing "
+                f"balances for {missing}")
+        snapshots[pool_id].append(ReserveSnapshot(
+            ts=ts, balances=tuple(balances[t] for t in entry.tokens),
+            lp_supply=lp_supply))
+    return {p: tuple(sorted(snaps, key=lambda s: s.ts))
+            for p, snaps in snapshots.items()}
+
+
+def load_prices(data_dir: str,
+                registry: Mapping[str, PoolRegistryEntry]) -> PriceTable:
+    """The bundle's price table (empty without ``prices.csv``); a symbol of
+    a registry pool's token names that token."""
+    symbol_tokens: dict[str, TokenId] = {}
+    for entry in registry.values():
+        for token in entry.tokens:
+            symbol_tokens.setdefault(token.symbol, token)
+    path = os.path.join(data_dir, "prices.csv")
+    return PriceTable(_price_samples(path, symbol_tokens)
+                      if os.path.exists(path) else [])
+
+
 def ingest(
     data_dir: str,
     registry: Mapping[str, PoolRegistryEntry],
@@ -198,93 +305,14 @@ def ingest(
     violate type invariants fail with file:line messages; a pool's rows may
     arrive up to one period out of order and are stably sorted afterwards.
     """
-    token_lookup: dict[tuple[str, str], TokenId] = {}
-    symbol_tokens: dict[str, TokenId] = {}
-    for entry in registry.values():
-        for token in entry.tokens:
-            token_lookup[(entry.pool_id, token.symbol)] = token
-            symbol_tokens.setdefault(token.symbol, token)
-
-    def resolve(path: str, lineno: int, pool_id: str, symbol: str) -> TokenId:
-        if pool_id not in registry:
-            raise ValidationError(f"{path}:{lineno}: unknown pool_id {pool_id!r}")
-        token = token_lookup.get((pool_id, symbol))
-        if token is None:
-            raise ValidationError(
-                f"{path}:{lineno}: token {symbol!r} not in pool {pool_id!r}")
-        return token
-
-    trades: dict[str, list[TradeEvent]] = {p: [] for p in registry}
-    agents: dict[str, str] = {}  # one string per agent name, shared by its rows
-    path = os.path.join(data_dir, "trades.csv")
-    if os.path.exists(path):
-        for lineno, (ts, pool_id, trader, sym_in, amount_in, sym_out,
-                     amount_out) in _read_events(
-                path, TRADES_HEADER, (int, str, str, str, float, str, float),
-                period):
-            token_in = resolve(path, lineno, pool_id, sym_in)
-            token_out = resolve(path, lineno, pool_id, sym_out)
-            try:
-                trade = TradeEvent(
-                    ts=ts, trader=agents.setdefault(trader, trader),
-                    token_in=token_in, amount_in=amount_in,
-                    token_out=token_out, amount_out=amount_out)
-            except ValidationError as err:
-                raise ValidationError(f"{path}:{lineno}: {err}") from None
-            trades[pool_id].append(trade)
-
-    liquidity: dict[str, list[LiquidityEvent]] = {p: [] for p in registry}
-    path = os.path.join(data_dir, "liquidity.csv")
-    if os.path.exists(path):
-        rows = _read_events(path, LIQUIDITY_HEADER,
-                            (int, str, str, str, float, float), period)
-        # One event spans consecutive rows, one row per token leg.
-        for (ts, pool_id, provider, lp_delta), legs in itertools.groupby(
-                rows, key=lambda item: itemgetter(0, 1, 2, 5)(item[1])):
-            deltas: dict[TokenId, float] = {}
-            for lineno, (_, _, _, symbol, delta, _) in legs:
-                token = resolve(path, lineno, pool_id, symbol)
-                if token in deltas:
-                    delta += deltas[token]
-                deltas[token] = delta
-            liquidity[pool_id].append(LiquidityEvent(
-                ts=ts, provider=agents.setdefault(provider, provider),
-                deltas=deltas, lp_token_delta=lp_delta))
-
-    snapshots: dict[str, list[ReserveSnapshot]] = {p: [] for p in registry}
-    path = os.path.join(data_dir, "reserves.csv")
-    if os.path.exists(path):
-        grouped: dict[tuple[str, int], tuple[float, dict]] = {}
-        for lineno, (ts, pool_id, symbol, balance, lp_supply) in _read_events(
-                path, RESERVES_HEADER, (int, str, str, float, float), period):
-            token = resolve(path, lineno, pool_id, symbol)
-            if balance < 0:
-                raise ValidationError(f"{path}:{lineno}: negative balance")
-            _, balances = grouped.setdefault((pool_id, ts), (lp_supply, {}))
-            balances[token] = balance
-        for (pool_id, ts), (lp_supply, balances) in grouped.items():
-            entry = registry[pool_id]
-            missing = [t.symbol for t in entry.tokens if t not in balances]
-            if missing:
-                raise ValidationError(
-                    f"{path}: snapshot at ts {ts} for {pool_id} missing "
-                    f"balances for {missing}")
-            snapshots[pool_id].append(ReserveSnapshot(
-                ts=ts, balances=tuple(balances[t] for t in entry.tokens),
-                lp_supply=lp_supply))
-
-    path = os.path.join(data_dir, "prices.csv")
-    samples = (_price_samples(path, symbol_tokens)
-               if os.path.exists(path) else [])
-
-    streams = {}
-    for pool_id, entry in registry.items():
-        streams[pool_id] = EventStream(
-            pool_id=pool_id, tokens=entry.tokens,
-            trades=tuple(sorted(trades[pool_id], key=lambda e: e.ts)),
-            liquidity=tuple(sorted(liquidity[pool_id], key=lambda e: e.ts)),
-            snapshots=tuple(sorted(snapshots[pool_id], key=lambda s: s.ts)))
-    return streams, PriceTable(samples)
+    trades = load_trades(data_dir, registry, period)
+    liquidity = load_liquidity(data_dir, registry, period)
+    snapshots = load_reserves(data_dir, registry, period)
+    prices = load_prices(data_dir, registry)
+    return {pool_id: EventStream(
+        pool_id=pool_id, tokens=entry.tokens, trades=trades[pool_id],
+        liquidity=liquidity[pool_id], snapshots=snapshots[pool_id])
+        for pool_id, entry in registry.items()}, prices
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +470,12 @@ def compute_pool_metrics(
     trades = metrics.TradeColumns(stream.trades)  # shared by the trade metrics
 
     if stream.snapshots:
-        snap_points_entropy = [
-            (s.ts, metrics.shannon_entropy(s.balances)) for s in stream.snapshots]
-        out.append(("shannonsEntropy", None, aggregate(
-            snap_points_entropy, period, "last",
-            metric_name="shannonsEntropy", pool_id=pool_id)))
-        snap_points_gini = [
-            (s.ts, metrics.gini(s.balances)) for s in stream.snapshots]
-        out.append(("giniCoefficient", None, aggregate(
-            snap_points_gini, period, "last",
-            metric_name="giniCoefficient", pool_id=pool_id)))
+        times = [s.ts for s in stream.snapshots]
+        for name, measure in (("shannonsEntropy", metrics.shannon_entropy),
+                              ("giniCoefficient", metrics.gini)):
+            out.append((name, None, aggregate_columns(
+                times, [measure(s.balances) for s in stream.snapshots],
+                period, "last", metric_name=name, pool_id=pool_id)))
 
     for token in stream.tokens:
         series = metrics.net_swap_flow(trades, token, period,
@@ -481,9 +505,9 @@ def compute_pool_metrics(
                 trades, sharks, token, period, pool_id=pool_id)))
 
         # No token's buckets can span more than the whole trade stream.
-        span = (bucket_end(stream.trades[-1].ts, cfg.pin_bucket)
-                - bucket_end(stream.trades[0].ts, cfg.pin_bucket))
-        if span // cfg.pin_bucket + 1 >= cfg.pin_window:
+        span = aggregate_columns(trades.ts[[0, -1]], [0.0, 0.0],
+                                 cfg.pin_bucket)
+        if len(span) >= cfg.pin_window:
             # one call for all tokens, so a search round serves every window
             tokens, bucket_series = [], []
             for token in stream.tokens:
@@ -521,22 +545,27 @@ def transform_series(series: MetricSeries, transform: str) -> MetricSeries:
 def share_price_series(stream: EventStream, prices: PriceTable,
                        entry: PoolRegistryEntry,
                        period: int = 3600) -> tuple[MetricSeries, MetricSeries]:
-    """(LP share price, virtual price) series from reserve snapshots."""
+    """(LP share price, virtual price) series from reserve snapshots; each
+    token is marked at every snapshot by one ``PriceTable.lookup_all``."""
     if not stream.snapshots:
         raise ValidationError(f"pool {stream.pool_id} has no reserve snapshots")
-    sp_points, vp_points = [], []
-    for snap in stream.snapshots:
+    times = whole_seconds([snap.ts for snap in stream.snapshots])
+    marks = np.array([prices.lookup_all(token, times, period)
+                      for token in stream.tokens]).T
+    sp_values, vp_values = [], []
+    for snap, row in zip(stream.snapshots, marks.tolist()):
         state = stableswap.PoolState(balances=snap.balances, amp=entry.amp,
                                      fee=entry.fee, lp_supply=snap.lp_supply)
-        price_map = {token: prices.at(token, snap.ts, period)
-                     for token in stream.tokens}
-        sp_points.append((snap.ts, stableswap.lp_share_price(
-            state, stream.tokens, price_map)))
-        vp_points.append((snap.ts, stableswap.virtual_price(state)))
-    sp = aggregate(sp_points, period, "last", metric_name="lpSharePrice",
-                   pool_id=stream.pool_id)
-    vp = aggregate(vp_points, period, "last", metric_name="virtualPrice",
-                   pool_id=stream.pool_id)
+        if any(map(math.isnan, row)):  # raises for the first token unpriced
+            for token in stream.tokens:
+                prices.at(token, snap.ts, period)
+        sp_values.append(stableswap.lp_share_price(
+            state, stream.tokens, dict(zip(stream.tokens, row))))
+        vp_values.append(stableswap.virtual_price(state))
+    sp = aggregate_columns(times, sp_values, period, "last",
+                           metric_name="lpSharePrice", pool_id=stream.pool_id)
+    vp = aggregate_columns(times, vp_values, period, "last",
+                           metric_name="virtualPrice", pool_id=stream.pool_id)
     return sp, vp
 
 

@@ -42,10 +42,8 @@ PIN fit from before all Nelder-Mead starts ran as one array search: one
 ``scipy.optimize.minimize`` call per start on a scalar likelihood, by
 default the reference one. The array search must match it bit for bit.
 
-``rolling_volatility`` is the per-window ``np.std`` loop that a single
-``np.std`` over a sliding-window view replaced; the library must equal it
-bit for bit. ``aggregate`` is the bucketing loop from before the library
-summed into Python lists: it writes every point into numpy arrays, one
+``aggregate`` is the bucketing loop from before the library bucketed
+columns with ``np.bincount``: it writes every point into numpy arrays, one
 scalar at a time. The library must equal it bit for bit.
 
 The swap functions at the end are the StableSwap output path from before D
@@ -62,9 +60,10 @@ list and one cached D: it builds a ``PoolState`` per trade and prices
 through the D-resolving swap functions. The library must equal it field
 for field.
 
-``PriceTable`` is the nearest-sample lookup from before the library kept
-each token's samples in Python lists: it bisects an int64 array. The
-library's ``lookup`` and ``at`` must equal it.
+``PriceTable`` is the nearest-sample lookup from before every library
+lookup went through ``np.searchsorted``: it bisects an int64 array, one
+time at a time. The library's ``lookup`` and ``at``, and the share price
+marked through ``lookup_all``, must equal it.
 
 The trade metrics at the end (``net_swap_flow``, ``pool_markout_series``,
 ``classify_sharks``, ``shark_flow`` and ``order_count_buckets``) walk the
@@ -106,10 +105,14 @@ from depegwatch.core import (
     ReserveSnapshot,
     TradeEvent,
     ValidationError,
-    bucket_end,
 )
 from depegwatch.metrics import PinParams, _logit, _pin_from_vector
-from depegwatch.stableswap import InvariantSolution, PoolState
+from depegwatch.stableswap import (
+    InvariantSolution,
+    PoolState,
+    lp_share_price,
+    virtual_price,
+)
 from depegwatch.evaluation import (
     GridSpace,
     ScoreReport,
@@ -298,22 +301,13 @@ def estimate_pin(buckets, tol=1e-8, likelihood=pin_likelihood):
     return params, params.pin
 
 
-def rolling_volatility(prices: MetricSeries, window: int) -> MetricSeries:
-    """One ``np.std`` call per trailing window of log returns (reference for
-    ``metrics.rolling_volatility``)."""
-    if window < 2:
-        raise ValidationError("volatility window must cover >= 2 returns")
-    if np.any(prices.values <= 0):
-        raise ValidationError("volatility requires positive prices")
-    returns = np.diff(np.log(prices.values))
-    if returns.size < window:
-        return MetricSeries(prices.metric_name, prices.pool_id,
-                            np.array([], dtype=np.int64), np.array([]))
-    out_ts = prices.timestamps[window:]
-    out = np.empty(returns.size - window + 1)
-    for k in range(out.size):
-        out[k] = np.std(returns[k:k + window])
-    return MetricSeries(prices.metric_name, prices.pool_id, out_ts.copy(), out)
+def bucket_end(ts, period):
+    """End label of the right-closed period bucket ``((k-1)*period,
+    k*period]`` containing ``ts``; ts = 0 opens the first bucket."""
+    if ts < 0:
+        raise ValidationError("timestamps must be non-negative")
+    label = -(-ts // period) * period
+    return label if label > 0 else period
 
 
 def aggregate(points, period, mode, *, metric_name="", pool_id=""):
@@ -899,7 +893,8 @@ def run_scenario(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Nearest-sample price lookup on int64 arrays (reference for PriceTable)
+# Nearest-sample price lookup on int64 arrays (reference for PriceTable),
+# and the share price marked through it
 
 
 class PriceTable:
@@ -935,6 +930,24 @@ class PriceTable:
                 f"no price for {token.symbol} within {tol}s of ts {ts}"
             )
         return price
+
+
+def share_price_series(stream, prices, entry, period=3600):
+    """``pipeline.share_price_series`` one snapshot at a time, each token
+    marked through ``prices.at``."""
+    sp_points, vp_points = [], []
+    for snap in stream.snapshots:
+        state = PoolState(balances=snap.balances, amp=entry.amp,
+                          fee=entry.fee, lp_supply=snap.lp_supply)
+        price_map = {token: prices.at(token, snap.ts, period)
+                     for token in stream.tokens}
+        sp_points.append((snap.ts, lp_share_price(state, stream.tokens,
+                                                  price_map)))
+        vp_points.append((snap.ts, virtual_price(state)))
+    return (aggregate(sp_points, period, "last", metric_name="lpSharePrice",
+                      pool_id=stream.pool_id),
+            aggregate(vp_points, period, "last", metric_name="virtualPrice",
+                      pool_id=stream.pool_id))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,27 @@ class TestAggregate:
         with pytest.raises(ValidationError, match="unknown aggregation mode"):
             aggregate([(10, 1.0), (20, 3.0)], 3600, "mean")
 
+    @pytest.mark.parametrize("mode", ["sum", "last"])
+    @pytest.mark.parametrize("points, period", [
+        ([(10, 1.0), (3600.5, 3.0)], 3600),
+        ([(10, 1.0), (math.inf, 3.0)], 3600),
+        ([(10, 1.0), (20, 3.0)], 1800.5),
+        ([(10, 1.0), (20, 3.0)], math.nan),
+    ], ids=["fractional-ts", "inf-ts", "fractional-period", "nan-period"])
+    def test_fractional_seconds_rejected(self, points, period, mode):
+        with pytest.raises(ValidationError, match="whole seconds"):
+            aggregate(points, period, mode)
+
+    @pytest.mark.parametrize("mode", ["sum", "last"])
+    def test_whole_float_seconds_equal_int(self, mode):
+        ints = aggregate([(10, 1.0), (7300, 3.0), (3600, 2.0)], 3600, mode)
+        for points, period in (
+                ([(10.0, 1.0), (7300.0, 3.0), (3600, 2.0)], 3600),
+                ([(10, 1.0), (7300, 3.0), (3600, 2.0)], 3600.0)):
+            out = aggregate(points, period, mode)
+            assert out.timestamps.dtype == np.int64
+            assert out.points == ints.points
+
     @given(st.lists(st.tuples(st.integers(0, 10**6),
                               st.floats(-1e6, 1e6)), min_size=1, max_size=40),
            st.sampled_from(["sum", "last"]))

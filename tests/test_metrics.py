@@ -16,7 +16,6 @@ from oracles import generate_pin_buckets
 from depegwatch import metrics
 from depegwatch.core import (
     LiquidityEvent,
-    MetricSeries,
     MissingPriceError,
     NumericalError,
     PriceSample,
@@ -37,7 +36,6 @@ from depegwatch.metrics import (
     pin_likelihood,
     pool_markout_series,
     rolling_pin,
-    rolling_volatility,
     shannon_entropy,
     shark_flow,
     trade_markout,
@@ -140,47 +138,6 @@ class TestFlows:
     def test_withdraw_only_bucket(self):
         events = [LiquidityEvent(50, "lp", {A: -30.0}, -30.0)]
         assert net_lp_flow(events, A, 3600).points == [(3600, -30.0)]
-
-
-class TestRollingVolatility:
-    def test_constant_prices(self):
-        prices = MetricSeries("p", "", np.arange(1, 6) * 3600,
-                              np.full(5, 2.0))
-        out = rolling_volatility(prices, 2)
-        assert np.allclose(out.values, 0.0)
-
-    def test_alternating_prices_equal_log2(self):
-        # returns alternate +/- ln 2; population std over any window of 2 is ln 2
-        vals = np.array([1.0, 2.0, 1.0, 2.0, 1.0])
-        prices = MetricSeries("p", "", np.arange(1, 6) * 3600, vals)
-        out = rolling_volatility(prices, 2)
-        assert np.allclose(out.values, math.log(2), atol=1e-15)
-
-    def test_warmup(self):
-        prices = MetricSeries("p", "", np.arange(1, 4) * 3600,
-                              np.array([1.0, 1.1, 1.2]))
-        assert len(rolling_volatility(prices, 5)) == 0
-        out = rolling_volatility(prices, 2)
-        assert out.timestamps.tolist() == [3 * 3600]
-
-    def test_rejects_nonpositive(self):
-        prices = MetricSeries("p", "", np.array([1, 2]),
-                              np.array([1.0, -1.0]))
-        with pytest.raises(ValidationError):
-            rolling_volatility(prices, 2)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 200), st.integers(0, 2**32 - 1),
-           st.integers(0, 250))
-    def test_equals_per_window_loop(self, window, seed, extra):
-        rng = np.random.default_rng(seed)
-        n = window + extra
-        prices = MetricSeries("p", "", np.arange(1, n + 1) * 3600,
-                              np.exp(rng.normal(0, 0.05, n)))
-        out = rolling_volatility(prices, window)
-        expected = oracles.rolling_volatility(prices, window)
-        assert out.values.tolist() == expected.values.tolist()
-        assert out.timestamps.tolist() == expected.timestamps.tolist()
 
 
 class TestMarkouts:

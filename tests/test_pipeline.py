@@ -18,6 +18,7 @@ from depegwatch.cli import SeriesStats, TunedParams, main
 from depegwatch.core import (
     EventStream,
     MetricSeries,
+    MissingPriceError,
     PriceSample,
     PriceTable,
     TokenId,
@@ -26,7 +27,9 @@ from depegwatch.core import (
 )
 from depegwatch.simulator import DepegEvent, ScenarioConfig, run_scenario
 from depegwatch.stableswap import PoolState
+import oracles
 from oracles import scalar_detect_series, scalar_state_v1
+from test_acceptance import _scenario
 
 USDX, USDY = TokenId("USDX"), TokenId("USDY")
 DAY = 86400
@@ -580,6 +583,7 @@ _BAD_DOCUMENTS = [
           # json reads NaN and Infinity
           ("log-joint-nan", {"log_joint": [math.nan]}),
           ("log-joint-inf", {"log_joint": [math.inf]}),
+          ("log-joint-all-neg-inf", {"log_joint": [-math.inf]}),
           ("mu-inf", {"mu": [math.inf]}),
           ("beta-zero", {"beta": [0.0]}),
           ("beta-nan", {"beta": [math.nan]}),
@@ -811,6 +815,63 @@ class TestLabelCommand:
             line for line in prices if ",USDY," not in line))
         assert main(["label", "--data-dir", str(bundle), "--pool-id",
                      "scenario", "--out", str(tmp_path / "labels.csv")]) == 2
+
+
+    def test_malformed_trades_row_still_labels(self, scenario_dir, tmp_path):
+        # label reads only reserves.csv and prices.csv
+        data_dir, _ = scenario_dir
+        bundle = tmp_path / "bundle"
+        shutil.copytree(data_dir, bundle)
+        with open(bundle / "trades.csv", "a", encoding="utf-8") as fh:
+            fh.write("x,scenario,t,USDX,1.0,USDY,1.0\n")
+        labels = []
+        for where in (data_dir, bundle):
+            out = tmp_path / f"labels-{len(labels)}.csv"
+            assert main(["label", "--data-dir", str(where), "--pool-id",
+                         "scenario", "--out", str(out)]) == 0
+            labels.append(out.read_bytes())
+        assert labels[0] == labels[1]
+
+
+class TestSharePrice:
+    @pytest.fixture(scope="class")
+    def market(self):
+        output = run_scenario(_scenario(seed=1234, depeg_day=9))  # 14 days
+        entry = pipeline.PoolRegistryEntry(
+            "scenario", "s", "0" * 40, output.config.tokens, 50.0, 0.0004)
+        return output, entry
+
+    @staticmethod
+    def _outcome(stream, table, entry, share_price_series):
+        try:
+            sp, vp = share_price_series(stream, table, entry, 3600)
+        except MissingPriceError as err:
+            return str(err)
+        return [(s.metric_name, s.pool_id, s.timestamps.tolist(),
+                 s.values.tobytes()) for s in (sp, vp)]
+
+    @pytest.mark.parametrize("gaps", [
+        {},
+        {USDY: (3 * DAY, 3 * DAY + 4 * 3600)},
+        {USDX: (5 * DAY, 5 * DAY + 4 * 3600),
+         USDY: (5 * DAY, 5 * DAY + 4 * 3600)},
+    ], ids=["all-priced", "usdy-gap", "both-gap"])
+    def test_equals_per_snapshot_loop(self, market, gaps):
+        # a gap longer than twice the tolerance leaves snapshots unpriced;
+        # the error names the first (snapshot, token) the loop reaches
+        output, entry = market
+
+        def outside_gap(sample):
+            start, end = gaps.get(sample.token, (0, 0))
+            return not start <= sample.ts < end
+
+        samples = list(filter(outside_gap, output.prices))
+        got = self._outcome(output.stream, PriceTable(samples), entry,
+                            pipeline.share_price_series)
+        assert got == self._outcome(output.stream,
+                                    oracles.PriceTable(samples), entry,
+                                    oracles.share_price_series)
+        assert isinstance(got, list) == (not gaps)
 
 
 class TestTuneCommand:
