@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import sys
 
@@ -213,9 +212,8 @@ def detect(metric_file: str, params_path: str | None, transform: str | None,
                         for p in trace])
     written = [cp_path, rl_path]
     if save_state_path:
-        with open(save_state_path, "w", encoding="utf-8") as fh:
-            json.dump(bocd.state_to_dict(final_state, cfg), fh)
-            fh.write("\n")
+        pipeline.write_json(save_state_path,
+                            bocd.state_to_dict(final_state, cfg), indent=None)
         written.append(save_state_path)
     pipeline.write_manifest(out_dir, "detect", [metric_file], written,
                             {"transform": transform,
@@ -284,9 +282,7 @@ def tune(metric_file: str, labels_path: str, metric_name: str | None,
     }
     if report.note:
         doc["note"] = report.note
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    pipeline.write_json(out_path, doc, sort_keys=True)
     pipeline.write_csv(
         os.path.join(os.path.dirname(out_path), "grid.csv"),
         pipeline.GRID_HEADER,

@@ -186,16 +186,18 @@ def trade_markout(trade: TradeEvent, prices: PriceTable, horizon: int,
     """Dollar markout of one trade at ``horizon`` seconds after execution.
 
     Taker side: amount_out * p_out(ts+h) - amount_in * p_in(ts+h); the LP
-    side is its negation. Raises MissingPriceError when either mark price
-    has no sample within the tolerance.
+    side is its negation. The one-trade case of ``_taker_markouts``; raises
+    MissingPriceError when either mark price has no sample within the
+    tolerance.
     """
     if side not in ("taker", "lp"):
         raise ValidationError(f"side must be 'taker' or 'lp', got {side!r}")
-    mark = trade.ts + horizon
-    p_out = prices.at(trade.token_out, mark, tolerance)
-    p_in = prices.at(trade.token_in, mark, tolerance)
-    taker = trade.amount_out * p_out - trade.amount_in * p_in
-    return taker if side == "taker" else -taker
+    taker, priced = _taker_markouts(TradeColumns([trade]), prices, horizon,
+                                    tolerance)
+    if not priced[0]:  # ``at`` names the first missing mark price
+        for token in (trade.token_out, trade.token_in):
+            prices.at(token, trade.ts + horizon, tolerance)
+    return float(taker[0]) if side == "taker" else -float(taker[0])
 
 
 def _taker_markouts(trades: TradeColumns, prices: PriceTable, horizon: int,
@@ -282,11 +284,9 @@ def _log_factorial(k: float) -> float:
 
 
 def _pin_counts(windows: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
-    """The (12 x window x bucket) count block of ``_pin_loglik``. Rows 0-2
-    hold the counts of the first Poisson term of the good-news, bad-news
-    and no-event branches (buys, sells, buys), rows 3-5 those of their
-    second term (sells, buys, sells), and rows 6-11 ``gammaln(k + 1)`` of
-    rows 0-5."""
+    """The (8 x window x bucket) count block of ``_pin_loglik``: rows 0-3
+    hold the counts of its four Poisson terms (buys, sells, buys, sells)
+    and rows 4-7 ``gammaln(k + 1)`` of rows 0-3."""
     b = np.array([[bucket[0] for bucket in w] for w in windows], dtype=float)
     s = np.array([[bucket[1] for bucket in w] for w in windows], dtype=float)
     if np.any(b < 0) or np.any(s < 0):
@@ -294,19 +294,19 @@ def _pin_counts(windows: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
     log_b, log_s = (np.fromiter(map(_log_factorial, k.ravel().tolist()),
                                 float, k.size).reshape(k.shape)
                     for k in (b, s))
-    return np.stack([b, s, b, s, b, s,
-                     log_b, log_s, log_b, log_s, log_b, log_s])
+    return np.stack([b, s, b, s, log_b, log_s, log_b, log_s])
 
 
 # every branch of an invalid point weighs -inf, with zero rates
-_INVALID_CONSTS = (-math.inf,) * 3 + (0.0,) * 12
+_INVALID_CONSTS = (-math.inf,) * 3 + (0.0,) * 8
 
 
 def _pin_consts(alpha: float, theta: float, eps_i: float, eps_b: float,
                 eps_s: float) -> tuple[float, ...]:
-    """The 15 constants of one point of ``_pin_loglik``: the good-news,
-    bad-news and no-event log weights, the rates of the six term rows of
-    ``_pin_counts`` and their logs. An invalid point (a NaN included) gets
+    """The 11 constants of one point of ``_pin_loglik``: the good-news,
+    bad-news and no-event log weights, the rates of the four term rows of
+    ``_pin_counts`` (``eps_i + eps_b``, ``eps_i + eps_s``, ``eps_b``,
+    ``eps_s``) and their logs. An invalid point (a NaN included) gets
     ``_INVALID_CONSTS``."""
     if not (0 <= alpha <= 1 and 0 <= theta <= 1
             and eps_i >= 0 and eps_b >= 0 and eps_s >= 0):
@@ -315,13 +315,11 @@ def _pin_consts(alpha: float, theta: float, eps_i: float, eps_b: float,
     log_theta = math.log(theta) if theta > 0 else -math.inf
     log_not_theta = math.log1p(-theta) if theta < 1 else -math.inf
     rate_b, rate_s = eps_i + eps_b, eps_i + eps_s  # on good, bad news
-    # a zero rate's log is unused
-    log_b, log_s = math.log(eps_b or 1.0), math.log(eps_s or 1.0)
     return (log_alpha + log_not_theta, log_alpha + log_theta,
             math.log1p(-alpha) if alpha < 1 else -math.inf,
-            rate_b, rate_s, eps_b, eps_s, eps_b, eps_s,
+            rate_b, rate_s, eps_b, eps_s,  # a zero rate's log is unused
             math.log(rate_b or 1.0), math.log(rate_s or 1.0),
-            log_b, log_s, log_b, log_s)
+            math.log(eps_b or 1.0), math.log(eps_s or 1.0))
 
 
 _FLOOR = -sys.float_info.max
@@ -329,25 +327,25 @@ _FLOOR = -sys.float_info.max
 
 def _pin_loglik(block: np.ndarray,
                 consts: Sequence[tuple[float, ...]]) -> np.ndarray:
-    """Mixture log likelihood of column i of the (12 x point x bucket)
+    """Mixture log likelihood of column i of the (8 x point x bucket)
     block from ``_pin_counts`` under the ``_pin_consts`` tuple
     ``consts[i]``.
 
     A Poisson term is ``k * log(rate) - rate - log(k!)``; only when some
     rate is 0 do that rate's terms become 0 for ``k == 0`` and -inf
-    otherwise. A branch is its log weight plus its first term plus its
-    second, and the log-sum-exp over branches is scipy 1.17's: the max,
-    the ties ``m`` at the max, the sum ``s`` of ``exp`` of the rest, then
-    ``log1p(s / m) + log(m) + max``. An invalid point, or a non-finite
-    total, scores -inf.
+    otherwise. A branch is its log weight plus two of the four terms: good
+    news terms 0 and 3, bad news 1 and 2, no event 2 and 3. The log-sum-exp
+    over branches is scipy 1.17's: the max, the ties ``m`` at the max, the
+    sum ``s`` of ``exp`` of the rest, then ``log1p(s / m) + log(m) + max``.
+    An invalid point, or a non-finite total, scores -inf.
     """
     consts = np.array(consts, dtype=float).T[:, :, None]
-    weights, rates, log_rates = consts[:3], consts[3:9], consts[9:]
-    k = block[:6]
-    terms = k * log_rates - rates - block[6:]
+    weights, rates, log_rates = consts[:3], consts[3:7], consts[7:]
+    k = block[:4]
+    terms = k * log_rates - rates - block[4:]
     if not rates.all():
         terms = np.where(rates > 0, terms, np.where(k == 0, 0.0, -np.inf))
-    branches = weights + terms[:3] + terms[3:]
+    branches = weights + terms[:3] + terms[[3, 2, 3]]
     top = branches.max(axis=0)
     at_top = branches == top
     ties = at_top.sum(axis=0, dtype=float)
@@ -437,7 +435,8 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
     while True:
         done = ((fcalls >= maxfev) | (iterations >= maxiter)
                 | ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
-                   & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol)))
+                   # max |fs[0] - fs[k]| of the sorted values, bit for bit
+                   & (fs[:, -1] - fs[:, 0] <= fatol)))
         if done.any():
             x[rows[done]], fun[rows[done]] = s[done, 0], fs[done].min(axis=1)
             go = ~done

@@ -1,25 +1,13 @@
 """File formats and orchestration for the command-line pipeline.
 
-CSV schemas (exact headers):
-
-* trades.csv:       ts,pool_id,trader,token_in,amount_in,token_out,amount_out
-* liquidity.csv:    ts,pool_id,provider,token,delta,lp_token_delta
-* reserves.csv:     ts,pool_id,token,balance,lp_supply
-* prices.csv:       ts,token,usd_price
-* metric files:     ts,value
-* labels.csv:       ts,deviation
-* changepoints.csv: ts,step,run_length,probability
-* runlength.csv:    ts,step,run_length,probability
-* grid.csv:         alpha,beta,kappa,F,P,R,n_changepoints
-* scores.csv:       pool,metric,F,P,R,alpha,beta,kappa (also pool_results.csv)
-* leadtime.csv:     crossing_ts,changepoint_ts,lead_seconds
-
-Decimal values are written as shortest round-trip strings, so re-reading a
-file reproduces the exact float bits. Every reader checks the header and
-parses each column by its type; a bad row fails with a ``file:line``
-message. Config files are JSON, read by ``core.from_json``; ``simulate``,
-``metrics``, ``detect`` and ``report`` write a manifest recording sha256
-digests of their inputs and outputs.
+Each CSV file has the exact header of its ``*_HEADER`` constant below
+(``runlength.csv`` that of changepoints, ``pool_results.csv`` that of
+scores). Decimal values are written as shortest round-trip strings, so
+re-reading a file reproduces the exact float bits. Every reader checks the
+header and parses each column by its type; a bad row fails with a
+``file:line`` message. Config files are JSON, read by ``core.from_json``;
+``simulate``, ``metrics``, ``detect`` and ``report`` write a manifest
+recording sha256 digests of their inputs and outputs.
 """
 
 from __future__ import annotations
@@ -30,7 +18,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -256,7 +244,7 @@ def load_liquidity(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
 def load_reserves(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
                   period: int = 3600) -> dict[str, tuple[ReserveSnapshot, ...]]:
     """Each pool's reserve snapshots in the bundle, stably sorted by
-    timestamp."""
+    timestamp. A snapshot has one row per token, all with one lp_supply."""
     snapshots: dict[str, list[ReserveSnapshot]] = {p: [] for p in registry}
     path = os.path.join(data_dir, "reserves.csv")
     grouped: dict[tuple[str, int], tuple[float, dict]] = {}
@@ -265,7 +253,12 @@ def load_reserves(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
         token = _token(registry, path, lineno, pool_id, symbol)
         if balance < 0:
             raise ValidationError(f"{path}:{lineno}: negative balance")
-        _, balances = grouped.setdefault((pool_id, ts), (lp_supply, {}))
+        supply, balances = grouped.setdefault((pool_id, ts), (lp_supply, {}))
+        if token in balances or supply != lp_supply:
+            what = (f"repeated {symbol} row" if token in balances
+                    else f"lp_supply {lp_supply} differs from {supply}")
+            raise ValidationError(
+                f"{path}:{lineno}: {what} in the snapshot at ts {ts}")
         balances[token] = balance
     for (pool_id, ts), (lp_supply, balances) in grouped.items():
         entry = registry[pool_id]
@@ -333,6 +326,14 @@ def write_csv(path: str, header: list[str], rows: Iterable[Sequence],
                              for cell in row])
 
 
+def write_json(path: str, doc, **dump_options) -> None:
+    """``json.dump`` to ``path``, indented by 2 unless overridden, with a
+    final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, **{"indent": 2, **dump_options})
+        fh.write("\n")
+
+
 def write_metric_series(path: str, series: MetricSeries) -> None:
     write_csv(path, METRIC_HEADER, series.points)
 
@@ -377,68 +378,48 @@ def write_scenario(out_dir: str, output: ScenarioOutput) -> list[str]:
     stream = output.stream
     written = []
 
-    path = os.path.join(out_dir, "trades.csv")
-    write_csv(path, TRADES_HEADER,
-              ((t.ts, stream.pool_id, t.trader, t.token_in.symbol, t.amount_in,
-                t.token_out.symbol, t.amount_out) for t in stream.trades))
-    written.append(path)
+    for name, header, rows in (
+            ("trades.csv", TRADES_HEADER,
+             ((t.ts, stream.pool_id, t.trader, t.token_in.symbol, t.amount_in,
+               t.token_out.symbol, t.amount_out) for t in stream.trades)),
+            ("liquidity.csv", LIQUIDITY_HEADER,
+             ((event.ts, stream.pool_id, event.provider, token.symbol,
+               event.deltas[token], event.lp_token_delta)
+              for event in stream.liquidity
+              for token in cfg.tokens if token in event.deltas)),
+            ("reserves.csv", RESERVES_HEADER,
+             ((snap.ts, stream.pool_id, token.symbol, balance, snap.lp_supply)
+              for snap in stream.snapshots
+              for token, balance in zip(cfg.tokens, snap.balances))),
+            ("prices.csv", PRICES_HEADER,
+             ((p.ts, p.token.symbol, p.usd_price) for p in output.prices))):
+        written.append(os.path.join(out_dir, name))
+        write_csv(written[-1], header, rows)
 
-    path = os.path.join(out_dir, "liquidity.csv")
-    write_csv(path, LIQUIDITY_HEADER,
-              ((event.ts, stream.pool_id, event.provider, token.symbol,
-                event.deltas[token], event.lp_token_delta)
-               for event in stream.liquidity
-               for token in cfg.tokens if token in event.deltas))
-    written.append(path)
+    written.append(os.path.join(out_dir, "registry.json"))
+    write_json(written[-1], {"pools": [{
+        "pool_id": stream.pool_id,
+        "name": "synthetic scenario pool",
+        "tokens": [{"symbol": t.symbol, "address": t.address}
+                   for t in cfg.tokens],
+        "amp": cfg.pool.amp,
+        "fee": cfg.pool.fee,
+    }]})
 
-    path = os.path.join(out_dir, "reserves.csv")
-    write_csv(path, RESERVES_HEADER,
-              ((snap.ts, stream.pool_id, token.symbol, balance,
-                snap.lp_supply)
-               for snap in stream.snapshots
-               for token, balance in zip(cfg.tokens, snap.balances)))
-    written.append(path)
-
-    path = os.path.join(out_dir, "prices.csv")
-    write_csv(path, PRICES_HEADER,
-              ((p.ts, p.token.symbol, p.usd_price) for p in output.prices))
-    written.append(path)
-
-    path = os.path.join(out_dir, "registry.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"pools": [{
-            "pool_id": stream.pool_id,
-            "name": "synthetic scenario pool",
-            "tokens": [{"symbol": t.symbol, "address": t.address}
-                       for t in cfg.tokens],
-            "amp": cfg.pool.amp,
-            "fee": cfg.pool.fee,
-        }]}, fh, indent=2)
-        fh.write("\n")
-    written.append(path)
-
-    path = os.path.join(out_dir, "truth.json")
+    written.append(os.path.join(out_dir, "truth.json"))
     truth = {
         "rng": cfg.rng,
         "seed": cfg.seed,
         "truncated": output.truncated,
-        "depeg_events": [{
-            "token": e.token.symbol,
-            "start": e.start,
-            "target_price": e.target_price,
-            "ramp": e.ramp,
-            "recovery": e.recovery,
-        } for e in cfg.depeg_events],
+        "depeg_events": [{**asdict(e), "token": e.token.symbol}
+                         for e in cfg.depeg_events],
         "external_prices": {
             token.symbol: [[int(t), float(v)] for t, v in series.points]
             for token, series in sorted(output.external_prices.items(),
                                         key=lambda kv: kv[0].symbol)
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
-    written.append(path)
+    write_json(written[-1], truth)
     return written
 
 
@@ -604,9 +585,7 @@ def write_manifest(out_dir: str, command: str, inputs: Sequence[str],
         "outputs": {os.path.basename(p): sha256_file(p) for p in sorted(outputs)},
     }
     path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest, sort_keys=True)
     return path
 
 

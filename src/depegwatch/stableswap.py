@@ -11,7 +11,10 @@ state (``PoolState.d``) or per priced trial (``_price_after``), never with
 a residual unless ``compute_d`` asks for one. ``_swap``, which
 ``apply_swap`` wraps, and ``_price_after`` are the swap and the post-trade
 price on a plain balance list and its D, for callers that step a pool
-without a ``PoolState`` per trade. Everything operates on float64; this is an analytics library, not a
+without a ``PoolState`` per trade. D is homogeneous of degree 1, so a
+tiny or huge pool, whose balance sum (or D) lies outside [2^-100, 2^100],
+is solved on a copy scaled by a power of two, exactly, and scaled back.
+Everything operates on float64; this is an analytics library, not a
 fixed-point contract port.
 """
 
@@ -26,6 +29,7 @@ from .core import NumericalError, TokenId, ValidationError
 
 MAX_ITERATIONS = 255
 REL_TOL = 1e-10
+_TINY, _HUGE = 2.0 ** -100, 2.0 ** 100  # solved as is between these
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,22 @@ def invariant_residual(state: PoolState, d: float) -> float:
     return _residual(state.balances, state.amp, d)
 
 
+def _rescaled(balances: Sequence[float], x: float) -> tuple[int, list[float]]:
+    """The e that puts x / 2^e in [0.5, 1), and the balances over 2^e."""
+    e = math.frexp(x)[1]
+    scaled = [math.ldexp(b, -e) for b in balances]
+    if 0.0 in scaled:
+        raise NumericalError("the balances span more than the float range")
+    return e, scaled
+
+
 def _residual(balances: Sequence[float], amp: float, d: float) -> float:
     n = len(balances)
     ann = amp * n**n
     s = sum(balances)
+    if not _TINY < s < _HUGE and 0 < s < math.inf:
+        e, scaled = _rescaled(balances, s)
+        return math.ldexp(_residual(scaled, amp, math.ldexp(d, -e)), e)
     prod = math.prod(balances)
     try:
         power = d ** (n + 1)
@@ -104,6 +120,10 @@ def _d(balances: Sequence[float], amp: float) -> tuple[float, int]:
             raise ValidationError("compute_d requires strictly positive balances")
     n = len(balances)
     s = sum(balances)
+    if not _TINY < s < _HUGE and s < math.inf:
+        e, scaled = _rescaled(balances, s)
+        d, iterations = _d(scaled, amp)
+        return math.ldexp(d, e), iterations
     ann = amp * n**n
     # loop invariants, each the same float the loop computed every time
     xn = [x * n for x in balances]
@@ -159,6 +179,10 @@ def _dy(balances: Sequence[float], amp: float, d: float, i: int, j: int,
         dx: float) -> float:
     """Fee-free output of token j for selling dx > 0 of token i at D: the
     balance of j that keeps the invariant given the other balances."""
+    if not _TINY < d < _HUGE and 0 < d < math.inf:
+        e, scaled = _rescaled(balances, d)
+        return math.ldexp(_dy(scaled, amp, math.ldexp(d, -e), i, j,
+                              math.ldexp(dx, -e)), e)
     n = len(balances)
     ann = amp * n**n
     others = list(balances)

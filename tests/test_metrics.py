@@ -417,10 +417,13 @@ class TestPinOracle:
                 == fit_or_error(oracles.estimate_pin, counts))
 
     def test_count_block_equals_oracle(self):
-        # every count 0..1e4 on both sides, in two windows of equal length
+        # every count 0..1e4 on both sides, in two windows of equal length;
+        # the library keeps the oracle's four distinct count rows and their
+        # four log k! rows
         k = list(range(10_001))
         windows = [list(zip(k, k[::-1])), list(zip(k[::-1], k))]
-        got, ref = metrics._pin_counts(windows), oracles.pin_counts(windows)
+        got = metrics._pin_counts(windows)
+        ref = oracles.pin_counts(windows)[[0, 1, 2, 3, 6, 7, 8, 9]]
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_negative_counts_raise_before_any_search(self, monkeypatch):

@@ -670,9 +670,12 @@ class TestExitCodes:
         assert (f"error: {bad}: {where}: unknown token 'USDZ'"
                 in capsys.readouterr().err)
 
+    # pools of any scale solve on a rescaled copy, so these fail at every
+    # scale: the balance product underflows to 0, and the balance sum
+    # overflows to inf
     @pytest.mark.parametrize("pool", [
-        {**_SCENARIO_DOC["pool"], "balances": [1e-301, 1e-301]},
-        {**_SCENARIO_DOC["pool"], "balances": [1e160, 1e160]},
+        {**_SCENARIO_DOC["pool"], "balances": [1e-10, 1e-320]},
+        {**_SCENARIO_DOC["pool"], "balances": [1e308, 1e308]},
     ], ids=["scenario-underflowing-balances", "scenario-overflowing-balances"])
     def test_numerical_failure_is_three(self, tmp_path, pool, capsys):
         config = tmp_path / "scenario.json"
@@ -680,6 +683,22 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config),
                      "--out-dir", str(tmp_path / "o")]) == 3
         assert "numerical failure: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [1e-160, 1e-301, 1e160])
+    def test_tiny_and_huge_pools_simulate(self, tmp_path, size):
+        # each of these exited 3 before D was solved on a rescaled copy
+        config = tmp_path / "scenario.json"
+        pool = {**_SCENARIO_DOC["pool"], "balances": [size, size],
+                "lp_supply": 2 * size}
+        config.write_text(json.dumps({
+            **_SCENARIO_DOC, "pool": pool, "n_noise_traders": 2,
+            "depeg_events": [_EVENT]}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config),
+                     "--out-dir", str(out)]) == 0
+        assert len(pipeline.read_price_samples(str(out / "prices.csv"))) > 0
+        with open(out / "trades.csv") as fh:
+            assert len(fh.readlines()) > 100
 
     def test_overflowing_observation_is_three(self, tmp_path, capsys):
         metric = str(tmp_path / "m.csv")
@@ -816,6 +835,33 @@ class TestLabelCommand:
         assert main(["label", "--data-dir", str(bundle), "--pool-id",
                      "scenario", "--out", str(tmp_path / "labels.csv")]) == 2
 
+
+    @pytest.mark.parametrize("command", ["label", "metrics"])
+    @pytest.mark.parametrize("row, field, replace, problem", [
+        # a second USDX row for the first snapshot, right after the first
+        (1, 3, False, "repeated USDX row"),
+        # the first snapshot's USDY row with another lp_supply
+        (2, 4, True, "lp_supply 1.0 differs from"),
+    ], ids=["repeated-token", "lp-supply"])
+    def test_inconsistent_snapshot_names_line(self, scenario_dir, tmp_path,
+                                              capsys, command, row, field,
+                                              replace, problem):
+        data_dir, _ = scenario_dir
+        bundle = tmp_path / "bundle"
+        shutil.copytree(data_dir, bundle)
+        reserves = bundle / "reserves.csv"
+        rows = [line.split(",") for line in
+                reserves.read_text().splitlines()]
+        assert rows[1][2] == "USDX" and rows[2][2] == "USDY"
+        edited = rows[row][:field] + ["1.0"] + rows[row][field + 1:]
+        rows[2:2 + replace] = [edited]  # becomes line 3 of the file
+        reserves.write_text("".join(",".join(r) + "\n" for r in rows))
+        argv = {"label": ["label", "--data-dir", str(bundle), "--pool-id",
+                          "scenario", "--out", str(tmp_path / "labels.csv")],
+                "metrics": ["metrics", "--data-dir", str(bundle),
+                            "--out-dir", str(tmp_path / "m")]}[command]
+        assert main(argv) == 2
+        assert f"{reserves}:3: {problem}" in capsys.readouterr().err
 
     def test_malformed_trades_row_still_labels(self, scenario_dir, tmp_path):
         # label reads only reserves.csv and prices.csv

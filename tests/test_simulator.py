@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -299,6 +302,46 @@ class TestScenarioOracle:
         assert len(solved) <= (1 + len(out.stream.trades)
                                + len(out.stream.liquidity))
         assert len(set(solved)) == len(solved)
+
+
+class TestScaleFree:
+    @staticmethod
+    def _three_tokens(k):
+        def scale(value):
+            return math.ldexp(value, k)
+        return scenario(seed=3, duration=DAY, depeg_events=(DepegEvent(
+                            USDX, start=DAY // 3, target_price=0.85,
+                            ramp=DAY // 4, recovery=DAY // 4),),
+                        noise_vol=1e-3, n_noise_traders=4, lp_event_prob=0.1,
+                        tokens=(USDX, USDY, USDZ),
+                        pool=PoolState((scale(3e6), scale(4e6), scale(5e6)),
+                                       amp=100.0, fee=0.0004,
+                                       lp_supply=scale(1.2e7)),
+                        peg_prices={USDX: 1.0, USDY: 1.0, USDZ: 1.0})
+
+    def test_pool_scaled_by_two_to_the_minus_540(self):
+        # D^2 went subnormal there, and the swap output solver raised
+        # NumericalError; the pool is now solved on a rescaled copy
+        k = -540
+        ref, out = (run_scenario(self._three_tokens(s)) for s in (0, k))
+
+        def scale(value):
+            return math.ldexp(value, k)
+        assert not ref.truncated and not out.truncated
+        assert {t.trader.split("_")[0] for t in ref.stream.trades} == {
+            "informed", "arb", "noise"}
+        assert len(ref.stream.liquidity) > 0
+        assert [dataclasses.replace(t, amount_in=scale(t.amount_in),
+                                    amount_out=scale(t.amount_out))
+                for t in ref.stream.trades] == list(out.stream.trades)
+        assert [dataclasses.replace(
+                    e, deltas={t: scale(v) for t, v in e.deltas.items()},
+                    lp_token_delta=scale(e.lp_token_delta))
+                for e in ref.stream.liquidity] == list(out.stream.liquidity)
+        assert [dataclasses.replace(s, balances=tuple(map(scale, s.balances)),
+                                    lp_supply=scale(s.lp_supply))
+                for s in ref.stream.snapshots] == list(out.stream.snapshots)
+        assert out.prices == ref.prices
 
 
 class TestSlippageExperiment:

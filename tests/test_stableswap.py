@@ -1,9 +1,10 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -99,6 +100,56 @@ class TestComputeD:
         sol = compute_d(PoolState((2e6, 1e6), amp=100.0))
         assert isinstance(sol, InvariantSolution)
         assert sol.iterations >= 1
+
+
+class TestScaleFree:
+    """A pool whose balance sum (or D) lies outside [2^-100, 2^100] is
+    solved on a copy scaled by a power of two, so the solvers scale with
+    the balances exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(balances=st.lists(st.floats(1.0, 1e3), min_size=2, max_size=4),
+           amp=st.floats(1.0, 5000.0), k=st.integers(-600, 600),
+           frac=st.floats(1e-6, 1.0), pair=st.integers(0, 3))
+    def test_solvers_scale_bit_for_bit(self, balances, amp, k, frac, pair):
+        e = math.frexp(sum(balances))[1]
+        base = [math.ldexp(b, -e) for b in balances]  # sum in [0.5, 1)
+        scaled = [math.ldexp(b, k) for b in base]
+        assume(min(scaled) >= sys.float_info.min)  # a normal pool
+        d, iterations = stableswap._d(base, amp)
+        assert iterations <= stableswap.MAX_ITERATIONS  # Newton, no bisection
+        d_k = math.ldexp(d, k)
+        assert stableswap._d(scaled, amp) == (d_k, iterations)
+        i = pair % len(base)
+        j = (i + 1) % len(base)
+        dx = frac * base[i]
+        assert (stableswap._dy(scaled, amp, d_k, i, j, math.ldexp(dx, k))
+                == math.ldexp(stableswap._dy(base, amp, d, i, j, dx), k))
+        residual = math.ldexp(stableswap._residual(base, amp, d), k)
+        if not 2.0 ** -100 < sum(scaled) < 2.0 ** 100:  # solved on ``base``
+            assert stableswap._residual(scaled, amp, d_k) == residual
+        else:
+            # solved as is: D^(n+1) is a libm pow, which is not exactly
+            # homogeneous (about 5 in 10^4 cubes differ in the last bit)
+            n = len(base)
+            power = d_k ** (n + 1) / (n**n * math.prod(scaled))
+            assert (abs(stableswap._residual(scaled, amp, d_k) - residual)
+                    <= 2 * math.ulp(power))
+
+    @pytest.mark.parametrize("size", [1e-159, 1e-160, 1e-300, 1e160, 1e300])
+    def test_tiny_and_huge_pools_solve(self, size):
+        # at 1e-159 Newton went subnormal (relative error 1.2e-9), and from
+        # 1e-160 down, or at 1e160, the solver raised NumericalError
+        state = PoolState((size, size), amp=50.0)
+        sol = compute_d(state)
+        assert abs(sol.d - 2 * size) <= stableswap.REL_TOL * 2 * size
+        assert sol.d == state.d
+        assert abs(sol.residual) <= stableswap.REL_TOL * sol.d
+
+    def test_balances_beyond_the_float_range_raise(self):
+        # no power of two brings both balances into range at once
+        with pytest.raises(NumericalError, match="span more than the float"):
+            PoolState((1e300, 1e-300), amp=50.0).d
 
 
 class TestGetDy:
