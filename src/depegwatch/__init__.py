@@ -26,11 +26,10 @@ from .core import (
     log_diff,
     standardize,
 )
-from .stableswap import InvariantSolution, PoolState
+from .stableswap import PoolState
 
 __all__ = [
     "EventStream",
-    "InvariantSolution",
     "LiquidityEvent",
     "MetricSeries",
     "MissingPriceError",

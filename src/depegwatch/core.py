@@ -79,8 +79,9 @@ class TradeEvent:
     def __post_init__(self) -> None:
         if self.ts < 0:
             raise ValidationError("trade timestamp must be non-negative")
-        if self.amount_in <= 0 or self.amount_out <= 0:
-            raise ValidationError("trade amounts must be positive")
+        if (not 0 < self.amount_in < math.inf
+                or not 0 < self.amount_out < math.inf):
+            raise ValidationError("trade amounts must be positive and finite")
         if self.token_in == self.token_out:
             raise ValidationError("token_in and token_out must differ")
 
@@ -118,8 +119,9 @@ class PriceSample:
     def __post_init__(self) -> None:
         if self.ts < 0:
             raise ValidationError("price timestamp must be non-negative")
-        if not self.usd_price > 0:
-            raise ValidationError(f"usd_price must be > 0, got {self.usd_price}")
+        if not 0 < self.usd_price < math.inf:
+            raise ValidationError(
+                f"usd_price must be positive and finite, got {self.usd_price}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -53,7 +53,6 @@ class ScoreReport:
     lf_score: float
     matches: tuple[tuple[Timestamp, Timestamp, float], ...]
     false_positives: tuple[Timestamp, ...]
-    scoring: ScoringConfig
     prior: NGParams | None = None
     note: str = ""
 
@@ -152,7 +151,7 @@ def lf_score(labels: Sequence[Timestamp], predictions: Sequence[Timestamp],
                             if x not in matched_preds)
     return ScoreReport(precision=precision, weighted_recall=recall, lf_score=f,
                        matches=tuple(matches), false_positives=false_positives,
-                       scoring=cfg, prior=prior)
+                       prior=prior)
 
 
 def grid_configs(space: GridSpace | None = None) -> list[NGParams]:

@@ -66,10 +66,6 @@ class PinParams:
     eps_b: float
     eps_s: float
 
-    def is_valid(self) -> bool:
-        return (0 <= self.alpha <= 1 and 0 <= self.theta <= 1
-                and self.eps_i >= 0 and self.eps_b >= 0 and self.eps_s >= 0)
-
     @property
     def pin(self) -> float:
         """Probability that any given trade is informed."""
@@ -263,19 +259,6 @@ def shark_flow(trades: Iterable[TradeEvent] | TradeColumns, sharks: set[str],
     is_shark = np.array([name in sharks for name in trades.traders], dtype=bool)
     return _swap_flow(trades, token, window, "sharkflow", pool_id,
                       is_shark[trades.trader])
-
-
-def pin_likelihood(buckets: Sequence[tuple[int, int]], params: PinParams) -> float:
-    """Log likelihood of (buy, sell) order counts under the informed-trading
-    mixture: good-news, bad-news, and no-event branches combined with
-    log-sum-exp. This is the one-point case of ``_pin_loglik``. Invalid
-    parameters yield -inf rather than raising, before the counts are checked.
-    """
-    if not params.is_valid():
-        return -math.inf
-    consts = _pin_consts(params.alpha, params.theta, params.eps_i,
-                         params.eps_b, params.eps_s)
-    return float(_pin_loglik(_pin_counts([buckets]), [consts])[0])
 
 
 @lru_cache(maxsize=4096)
@@ -489,7 +472,7 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
 
 
 def _pin_objective(windows: Sequence[Sequence[tuple[int, int]]]):
-    """``-pin_likelihood`` of many points at once, each on its own window.
+    """Negative log likelihood of many PIN points, each on its own window.
 
     The returned ``f(points, owner)`` maps row i of ``points`` (a vector in
     ``_pin_from_vector``'s space) straight to its ``_pin_consts``, with the

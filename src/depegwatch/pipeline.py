@@ -4,10 +4,10 @@ Each CSV file has the exact header of its ``*_HEADER`` constant below
 (``runlength.csv`` that of changepoints, ``pool_results.csv`` that of
 scores). Decimal values are written as shortest round-trip strings, so
 re-reading a file reproduces the exact float bits. Every reader checks the
-header and parses each column by its type; a bad row fails with a
-``file:line`` message. Config files are JSON, read by ``core.from_json``;
-``simulate``, ``metrics``, ``detect`` and ``report`` write a manifest
-recording sha256 digests of their inputs and outputs.
+header and parses each column by its type, a float as a finite number; a
+bad row fails with a ``file:line`` message. Config files are JSON, read by
+``core.from_json``; ``simulate``, ``metrics``, ``detect`` and ``report``
+write a manifest recording sha256 digests of their inputs and outputs.
 """
 
 from __future__ import annotations
@@ -113,12 +113,20 @@ def load_pool_registry(path: str) -> dict[str, PoolRegistryEntry]:
     return registry
 
 
+def _finite(raw: str) -> float:
+    """``float(raw)``; ``nan``, ``inf`` and ``1e999`` raise ValueError."""
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(raw)
+    return x
+
+
 def _read(path: str, header: list[str],
-          types: Sequence[type]) -> Iterator[tuple[int, list]]:
+          types: Sequence) -> Iterator[tuple[int, list]]:
     """Yield (line number, typed row) for each data row of a CSV file.
 
     Line 1 must equal ``header``; each field is parsed by the matching entry
-    of ``types`` (``str``, ``int`` or ``float``).
+    of ``types`` (``str``, ``int`` or ``_finite``).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -139,7 +147,7 @@ def _read(path: str, header: list[str],
                 try:
                     typed.append(kind(raw))
                 except ValueError:
-                    what = "an integer" if kind is int else "a number"
+                    what = "an integer" if kind is int else "a finite number"
                     raise ValidationError(
                         f"{path}:{lineno}: field {name} must be {what}, "
                         f"got {raw!r}") from None
@@ -168,7 +176,7 @@ def _price_samples(path: str, tokens: Mapping[str, TokenId],
                    symbol: str | None = None) -> list[PriceSample]:
     samples = []
     for lineno, (ts, sym, px) in _read(path, PRICES_HEADER,
-                                       (int, str, float)):
+                                       (int, str, _finite)):
         if symbol is not None and sym != symbol:
             continue
         try:
@@ -200,7 +208,7 @@ def load_trades(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
     path = os.path.join(data_dir, "trades.csv")
     for lineno, (ts, pool_id, trader, sym_in, amount_in, sym_out,
                  amount_out) in _read_events(
-            path, TRADES_HEADER, (int, str, str, str, float, str, float),
+            path, TRADES_HEADER, (int, str, str, str, _finite, str, _finite),
             period):
         token_in = _token(registry, path, lineno, pool_id, sym_in)
         token_out = _token(registry, path, lineno, pool_id, sym_out)
@@ -224,7 +232,7 @@ def load_liquidity(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
     agents: dict[str, str] = {}
     path = os.path.join(data_dir, "liquidity.csv")
     rows = _read_events(path, LIQUIDITY_HEADER,
-                        (int, str, str, str, float, float), period)
+                        (int, str, str, str, _finite, _finite), period)
     # One event spans consecutive rows, one row per token leg.
     for (ts, pool_id, provider, lp_delta), legs in itertools.groupby(
             rows, key=lambda item: itemgetter(0, 1, 2, 5)(item[1])):
@@ -249,7 +257,7 @@ def load_reserves(data_dir: str, registry: Mapping[str, PoolRegistryEntry],
     path = os.path.join(data_dir, "reserves.csv")
     grouped: dict[tuple[str, int], tuple[float, dict]] = {}
     for lineno, (ts, pool_id, symbol, balance, lp_supply) in _read_events(
-            path, RESERVES_HEADER, (int, str, str, float, float), period):
+            path, RESERVES_HEADER, (int, str, str, _finite, _finite), period):
         token = _token(registry, path, lineno, pool_id, symbol)
         if balance < 0:
             raise ValidationError(f"{path}:{lineno}: negative balance")
@@ -342,7 +350,7 @@ def read_metric_series(path: str) -> MetricSeries:
     """A metric file's points; the name and pool are not in the file, so
     both are empty."""
     ts, values = [], []
-    for _, (t, v) in _read(path, METRIC_HEADER, (int, float)):
+    for _, (t, v) in _read(path, METRIC_HEADER, (int, _finite)):
         ts.append(t)
         values.append(v)
     return MetricSeries("", "",
@@ -350,20 +358,20 @@ def read_metric_series(path: str) -> MetricSeries:
 
 
 def read_labels(path: str) -> list[tuple[int, float]]:
-    return [(ts, deviation)
-            for _, (ts, deviation) in _read(path, LABELS_HEADER, (int, float))]
+    return [(ts, deviation) for _, (ts, deviation)
+            in _read(path, LABELS_HEADER, (int, _finite))]
 
 
 def read_changepoints(path: str) -> list[int]:
     return [row[0] for _, row in _read(path, CHANGEPOINTS_HEADER,
-                                       (int, int, int, float))]
+                                       (int, int, int, _finite))]
 
 
 def read_score_rows(path: str) -> list[list]:
     """Rows of a scores.csv; F, P and R are floats, the prior's alpha, beta
     and kappa stay text because score leaves them empty without --params."""
     return [row for _, row in _read(path, SCORES_HEADER,
-                                    (str, str, float, float, float,
+                                    (str, str, _finite, _finite, _finite,
                                      str, str, str))]
 
 

@@ -248,7 +248,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     def pool_d() -> float:
         nonlocal d
         if d is None:
-            d = _d(balances, amp)[0]
+            d = _d(balances, amp)
         return d
 
     def try_swap(i: int, j: int, dx: float, trader: str) -> None:

@@ -8,12 +8,13 @@ Two float kernels over balance tuples do the work: ``_d`` solves it for D
 by Newton's method with a bisection fallback, and ``_dy`` holds D fixed
 and solves for the counter-balance of a swap. D is solved once per pool
 state (``PoolState.d``) or per priced trial (``_price_after``), never with
-a residual unless ``compute_d`` asks for one. ``_swap``, which
-``apply_swap`` wraps, and ``_price_after`` are the swap and the post-trade
-price on a plain balance list and its D, for callers that step a pool
-without a ``PoolState`` per trade. D is homogeneous of degree 1, so a
-tiny or huge pool, whose balance sum (or D) lies outside [2^-100, 2^100],
-is solved on a copy scaled by a power of two, exactly, and scaled back.
+a residual. ``_swap``, which ``apply_swap`` wraps, and ``_price_after``
+are the swap and the post-trade price on a plain balance list and its D,
+for callers that step a pool without a ``PoolState`` per trade. D is
+homogeneous of degree 1, so a tiny or huge pool, whose balance sum (or D)
+lies outside [2^-100, 2^100], is solved on a copy scaled by a power of
+two, exactly, and scaled back; an overflowing sum scales by the largest
+balance, and a D past the float range raises ``NumericalError``.
 Everything operates on float64; this is an analytics library, not a
 fixed-point contract port.
 """
@@ -45,10 +46,10 @@ class PoolState:
         object.__setattr__(self, "balances", tuple(float(b) for b in self.balances))
         if len(self.balances) < 2:
             raise ValidationError("pool needs at least 2 tokens")
-        if any(b < 0 for b in self.balances):
-            raise ValidationError("balances must be non-negative")
-        if not self.amp > 0:
-            raise ValidationError("amplification must be strictly positive")
+        if not all(0 <= b < math.inf for b in self.balances):
+            raise ValidationError("balances must be finite and non-negative")
+        if not 0 < self.amp < math.inf:
+            raise ValidationError("amplification must be finite and > 0")
         if not 0 <= self.fee <= 0.01:
             raise ValidationError("fee must lie in [0, 0.01]")
         if self.lp_supply < 0:
@@ -61,14 +62,7 @@ class PoolState:
     @cached_property
     def d(self) -> float:
         """Invariant D, solved on first use; ``replace`` starts a new cache."""
-        return _d(self.balances, self.amp)[0]
-
-
-@dataclass(frozen=True)
-class InvariantSolution:
-    d: float
-    iterations: int
-    residual: float
+        return _d(self.balances, self.amp)
 
 
 def invariant_residual(state: PoolState, d: float) -> float:
@@ -101,36 +95,33 @@ def _residual(balances: Sequence[float], amp: float, d: float) -> float:
     return ann * s + d - ann * d - power / (n**n * prod)
 
 
-def compute_d(state: PoolState) -> InvariantSolution:
-    """Solve the invariant for D, with the iteration count and residual.
+def _d(balances: Sequence[float], amp: float) -> float:
+    """Invariant D of the balances.
 
     Converged when |dD| < 1e-10 * D within 255 Newton iterations from
     sum(x); if Newton leaves the feasible bracket it falls back to bisection
     on [n * geomean(x), sum(x)], which provably brackets the root.
     """
-    d, iterations = _d(state.balances, state.amp)
-    return InvariantSolution(d, iterations, invariant_residual(state, d))
-
-
-def _d(balances: Sequence[float], amp: float) -> tuple[float, int]:
-    """Invariant D of the balances and the iterations spent: Newton steps,
-    or 255 plus the bisection steps after a fallback."""
     for b in balances:
         if b <= 0:
-            raise ValidationError("compute_d requires strictly positive balances")
+            raise ValidationError("D requires strictly positive balances")
     n = len(balances)
     s = sum(balances)
-    if not _TINY < s < _HUGE and s < math.inf:
-        e, scaled = _rescaled(balances, s)
-        d, iterations = _d(scaled, amp)
-        return math.ldexp(d, e), iterations
+    # a sum of finite balances that overflows scales by the largest one
+    scale = max(balances) if s == math.inf else s
+    if not _TINY < scale < _HUGE and scale < math.inf:  # NaN fails both
+        e, scaled = _rescaled(balances, scale)
+        try:
+            return math.ldexp(_d(scaled, amp), e)
+        except OverflowError:
+            raise NumericalError("D exceeds the float range") from None
     ann = amp * n**n
     # loop invariants, each the same float the loop computed every time
     xn = [x * n for x in balances]
     ann_s, ann_1, n_1 = ann * s, ann - 1.0, n + 1
 
     d = s
-    for iteration in range(1, MAX_ITERATIONS + 1):
+    for _ in range(MAX_ITERATIONS):
         d_p = d
         for x_n in xn:
             d_p = d_p * d / x_n
@@ -140,12 +131,12 @@ def _d(balances: Sequence[float], amp: float) -> tuple[float, int]:
             break
         tol = REL_TOL * d
         if -tol < d - d_prev < tol:  # abs(d - d_prev) < tol, NaN included
-            return d, iteration
+            return d
 
     return _bisect_d(balances, amp, s)
 
 
-def _bisect_d(balances: Sequence[float], amp: float, s: float) -> tuple[float, int]:
+def _bisect_d(balances: Sequence[float], amp: float, s: float) -> float:
     # Residual is >= 0 at n*geomean(x) and <= 0 at sum(x) (AM-GM), so the
     # unique positive root is bracketed even for extreme imbalance.
     if math.prod(balances) == 0:  # the residual divides by it
@@ -156,7 +147,7 @@ def _bisect_d(balances: Sequence[float], amp: float, s: float) -> tuple[float, i
     hi = s
     f_lo = _residual(balances, amp, lo)
     f_hi = _residual(balances, amp, hi)
-    if f_lo < 0 or f_hi > 0:
+    if not f_lo >= 0 or not f_hi <= 0:  # a NaN residual fails too
         raise NumericalError(
             f"invariant solver failed; residuals at bracket: {f_lo}, {f_hi}"
         )
@@ -170,9 +161,9 @@ def _bisect_d(balances: Sequence[float], amp: float, s: float) -> tuple[float, i
         iterations += 1
     d = 0.5 * (lo + hi)
     residual = _residual(balances, amp, d)
-    if abs(residual) > REL_TOL * d * max(1.0, amp * n**n):
+    if not abs(residual) <= REL_TOL * d * max(1.0, amp * n**n):
         raise NumericalError(f"invariant solver did not converge; residual {residual}")
-    return d, MAX_ITERATIONS + iterations
+    return d
 
 
 def _dy(balances: Sequence[float], amp: float, d: float, i: int, j: int,
@@ -214,11 +205,6 @@ def _check_pair(state: PoolState, i: int, j: int) -> None:
         raise ValidationError("swap requires distinct token indices")
     if not 0 <= i < state.n or not 0 <= j < state.n:
         raise ValidationError("token index out of range")
-
-
-def get_dy(state: PoolState, i: int, j: int, dx: float) -> float:
-    """Output amount of token j for selling dx of token i, after the fee."""
-    return apply_swap(state, i, j, dx)[1]
 
 
 def _swap(balances: Sequence[float], amp: float, fee: float, d: float, i: int,
@@ -287,7 +273,7 @@ def _price_after(balances: Sequence[float], amp: float, fee: float, d: float,
     no ``PoolState``. The pair (i, j) must be valid."""
     after, _ = _swap(balances, amp, fee, d, i, j, dx)
     h = _step(after[i])
-    return _slope(after, amp, _d(after, amp)[0], i, j, h)
+    return _slope(after, amp, _d(after, amp), i, j, h)
 
 
 def _step(x_i: float) -> float:

@@ -34,11 +34,11 @@ checked against ``batch_detect`` below. The flat ``step`` must equal
 own port of cephes ``lgam``: they call ``scipy.special.gammaln`` on every
 entry, and the library must equal them bit for bit.
 
-``pin_likelihood`` below is the PIN mixture likelihood from before it became
-the one-point case of the batched block: one branch array per mixture
-component, combined by ``scipy.special.logsumexp``. The library's block and
-its ``pin_likelihood`` must equal it bit for bit. ``estimate_pin`` is the
-PIN fit from before all Nelder-Mead starts ran as one array search: one
+``pin_likelihood`` below is the PIN mixture likelihood from before the
+library scored every point in one batched block: one branch array per
+mixture component, combined by ``scipy.special.logsumexp``. The library's
+block must equal it bit for bit. ``estimate_pin`` is the PIN fit from
+before all Nelder-Mead starts ran as one array search: one
 ``scipy.optimize.minimize`` call per start on a scalar likelihood, by
 default the reference one. The array search must match it bit for bit.
 
@@ -51,9 +51,10 @@ was cached on the pool state: every call re-solves D with ``compute_d``, and
 ``marginal_price`` differences two ``get_dy`` calls on a fee-free copy of the
 state. ``compute_d`` and ``_solve_balance`` are frozen copies of the
 ``PoolState``-based solvers from before the library moved to kernels over
-balance tuples, and ``arb_size`` is the simulator's arbitrage bisection from
-before its trials skipped building a ``PoolState``. The library must match
-all of them bit for bit.
+balance tuples (``compute_d`` also returns the iteration count and the
+residual, which the library no longer keeps), and ``arb_size`` is the
+simulator's arbitrage bisection from before its trials skipped building a
+``PoolState``. The library must match all of them bit for bit.
 
 ``run_scenario`` is the simulator loop from before it stepped on a balance
 list and one cached D: it builds a ``PoolState`` per trade and prices
@@ -108,7 +109,6 @@ from depegwatch.core import (
 )
 from depegwatch.metrics import PinParams, _logit, _pin_from_vector
 from depegwatch.stableswap import (
-    InvariantSolution,
     PoolState,
     lp_share_price,
     virtual_price,
@@ -235,8 +235,9 @@ def _poisson_logpmf(k: np.ndarray, rate: float) -> np.ndarray:
 
 def pin_likelihood(buckets: Sequence[tuple[int, int]], params: PinParams) -> float:
     """Mixture log likelihood with scipy's ``logsumexp`` (reference for
-    ``metrics.pin_likelihood`` and ``metrics._pin_objective``)."""
-    if not params.is_valid():
+    ``metrics._pin_objective``); invalid parameters score -inf."""
+    if not (0 <= params.alpha <= 1 and 0 <= params.theta <= 1
+            and params.eps_i >= 0 and params.eps_b >= 0 and params.eps_s >= 0):
         return -math.inf
     b = np.array([bucket[0] for bucket in buckets], dtype=float)
     s = np.array([bucket[1] for bucket in buckets], dtype=float)
@@ -534,8 +535,7 @@ def scalar_tune(train_series: MetricSeries, labels: Sequence[int],
         report = ScoreReport(
             precision=report.precision, weighted_recall=report.weighted_recall,
             lf_score=report.lf_score, matches=report.matches,
-            false_positives=report.false_positives, scoring=report.scoring,
-            prior=report.prior,
+            false_positives=report.false_positives, prior=report.prior,
             note="no configuration scored above zero; returned tie-break minimum")
     return prior, report, runs
 
@@ -674,6 +674,13 @@ MAX_ITERATIONS = 255
 REL_TOL = 1e-10
 
 
+@dataclass(frozen=True)
+class InvariantSolution:
+    d: float
+    iterations: int
+    residual: float
+
+
 def invariant_residual(state: PoolState, d: float) -> float:
     n = state.n
     ann = state.amp * n**n
@@ -684,7 +691,7 @@ def invariant_residual(state: PoolState, d: float) -> float:
 
 def compute_d(state: PoolState) -> InvariantSolution:
     if any(b <= 0 for b in state.balances):
-        raise ValidationError("compute_d requires strictly positive balances")
+        raise ValidationError("D requires strictly positive balances")
     n = state.n
     s = sum(state.balances)
     ann = state.amp * n**n

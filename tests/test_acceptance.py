@@ -43,7 +43,6 @@ from depegwatch.simulator import DepegEvent, ScenarioConfig, run_scenario
 from depegwatch.stableswap import (
     PoolState,
     apply_swap,
-    compute_d,
     invariant_residual,
     virtual_price,
 )
@@ -125,7 +124,7 @@ def test_criterion_3_scoring_golden_values():
 
 def test_criterion_4_stableswap_invariants():
     balanced = PoolState((1e6, 1e6, 1e6), amp=100.0)
-    assert compute_d(balanced).d == 3e6
+    assert balanced.d == 3e6
 
     rng = np.random.default_rng(44)
     state = PoolState((1e6, 1e6, 1e6), amp=100.0, fee=0.0, lp_supply=3e6)
@@ -133,7 +132,7 @@ def test_criterion_4_stableswap_invariants():
     for _ in range(1000):
         i, j = (int(v) for v in rng.choice(3, size=2, replace=False))
         dx = float(rng.uniform(10.0, 2e5))
-        d_before = compute_d(state).d
+        d_before = state.d
         state, _ = apply_swap(state, i, j, dx)
         residual = abs(invariant_residual(state, d_before))
         worst = max(worst, residual / d_before)

@@ -33,7 +33,6 @@ from depegwatch.metrics import (
     net_lp_flow,
     net_swap_flow,
     order_count_buckets,
-    pin_likelihood,
     pool_markout_series,
     rolling_pin,
     shannon_entropy,
@@ -248,6 +247,16 @@ class TestSharks:
         assert both.points == net_swap_flow(trades, A, 3600).points
 
 
+def window_loglik(buckets, params):
+    """PIN log likelihood of one window at one point, on the batched kernel
+    that the fit scores every search point with; invalid parameters
+    score -inf."""
+    consts = metrics._pin_consts(params.alpha, params.theta, params.eps_i,
+                                 params.eps_b, params.eps_s)
+    return float(metrics._pin_loglik(metrics._pin_counts([buckets]),
+                                     [consts])[0])
+
+
 class TestPinLikelihood:
     def test_alpha_zero_reduces_to_poisson_product(self):
         # oracle: independent Poisson pmfs via scipy
@@ -255,23 +264,23 @@ class TestPinLikelihood:
         buckets = [(0, 0), (1, 2), (4, 1), (10, 7)]
         expected = sum(stats.poisson.logpmf(b, 2.0) + stats.poisson.logpmf(s, 3.0)
                        for b, s in buckets)
-        assert pin_likelihood(buckets, params) == pytest.approx(expected,
-                                                                rel=1e-12)
+        assert window_loglik(buckets, params) == pytest.approx(expected,
+                                                               rel=1e-12)
 
     def test_empty_bucket_unit_rates(self):
         params = PinParams(0.0, 0.5, 1.0, 1.0, 1.0)
-        assert pin_likelihood([(0, 0)], params) == pytest.approx(-2.0, abs=1e-12)
+        assert window_loglik([(0, 0)], params) == pytest.approx(-2.0, abs=1e-12)
 
     def test_swap_symmetry(self):
         params = PinParams(0.35, 0.2, 4.0, 2.0, 7.0)
         swapped = PinParams(0.35, 0.8, 4.0, 7.0, 2.0)
         buckets = [(3, 9), (0, 4), (11, 2)]
         mirrored = [(s, b) for b, s in buckets]
-        assert pin_likelihood(buckets, params) == pytest.approx(
-            pin_likelihood(mirrored, swapped), rel=1e-12)
+        assert window_loglik(buckets, params) == pytest.approx(
+            window_loglik(mirrored, swapped), rel=1e-12)
 
     def test_invalid_params_return_neg_inf(self):
-        assert pin_likelihood([(1, 1)], PinParams(1.5, 0.5, 1, 1, 1)) == -math.inf
+        assert window_loglik([(1, 1)], PinParams(1.5, 0.5, 1, 1, 1)) == -math.inf
 
     def test_pin_formula(self):
         assert PinParams(1.0, 0.5, 2.0, 2.0, 2.0).pin == pytest.approx(1 / 3)
@@ -293,7 +302,7 @@ class TestEstimatePin:
     def test_ascent_over_every_start(self):
         buckets = generate_pin_buckets(60, 0.3, 0.2, 20, 30, 30, seed=1)
         params, _ = estimate_pin(buckets)
-        final_ll = pin_likelihood(buckets, params)
+        final_ll = window_loglik(buckets, params)
         mean_b = np.mean([b for b, _ in buckets])
         mean_s = np.mean([s for _, s in buckets])
         for a0 in (0.1, 0.5):
@@ -301,7 +310,7 @@ class TestEstimatePin:
                 for ei, eb, es in ((0.5 * (mean_b + mean_s), mean_b, mean_s),
                                    (mean_b + mean_s, 0.5 * mean_b, 0.5 * mean_s)):
                     start = PinParams(a0, t0, ei, eb, es)
-                    assert final_ll >= pin_likelihood(buckets, start) - 1e-9
+                    assert final_ll >= window_loglik(buckets, start) - 1e-9
 
     def test_needs_two_buckets(self):
         with pytest.raises(ValidationError):
@@ -365,7 +374,7 @@ def fit_or_error(fit, buckets):
 
 
 def oracle_fit(buckets):
-    return oracles.estimate_pin(buckets, likelihood=pin_likelihood)
+    return oracles.estimate_pin(buckets, likelihood=window_loglik)
 
 
 def rosenbrock(x):
@@ -375,10 +384,11 @@ def rosenbrock(x):
 class TestPinOracle:
     """The array search against one scipy search per start (tests/oracles).
 
-    The Hypothesis fits give the oracle search the library
-    ``pin_likelihood``, which ``test_objective_equals_scalar_likelihood``
-    proves ``==`` to the scipy-``logsumexp`` reference; the edge windows
-    use the reference itself.
+    The Hypothesis fits give the oracle search the library's batched
+    kernel through ``window_loglik`` above, about three times faster than
+    the scipy-``logsumexp`` reference, and
+    ``test_objective_equals_scalar_likelihood`` proves the two ``==``; the
+    edge windows use the reference itself.
     """
 
     @pytest.mark.slow
@@ -449,7 +459,7 @@ class TestPinOracle:
         f = metrics._pin_objective([counts])(np.array(points),
                                              np.zeros(len(points), dtype=int))
         assert f.tolist() == expected
-        assert [-pin_likelihood(counts, p) for p in params] == expected
+        assert [-window_loglik(counts, p) for p in params] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(pin_counts(max_size=12),

@@ -140,7 +140,7 @@ class TestRoundTrip:
         with pytest.raises(ValidationError) as err:
             read(path)
         assert str(err.value) == \
-            f"{path}:3: field {field} must be a number, got 'x1'"
+            f"{path}:3: field {field} must be a finite number, got 'x1'"
 
 
 class TestValidation:
@@ -598,6 +598,21 @@ _BAD_DOCUMENTS = [
 ]
 
 
+# Every float column of every CSV file that a command reads: the command,
+# the file and the column.
+_FLOAT_COLUMNS = [
+    *(("metrics", name, field) for name, field in (
+        ("trades.csv", "amount_in"), ("trades.csv", "amount_out"),
+        ("liquidity.csv", "delta"), ("liquidity.csv", "lp_token_delta"),
+        ("reserves.csv", "balance"), ("reserves.csv", "lp_supply"),
+        ("prices.csv", "usd_price"))),
+    ("detect", "m.csv", "value"),
+    ("score", "labels.csv", "deviation"),
+    ("score", "cp.csv", "probability"),
+    *(("report", "scores.csv", field) for field in ("F", "P", "R")),
+]
+
+
 def _run(tmp_path, command, text):
     """Exit code of ``command`` reading the document ``text`` as its
     JSON input, and the path it was written to."""
@@ -671,18 +686,20 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     # pools of any scale solve on a rescaled copy, so these fail at every
-    # scale: the balance product underflows to 0, and the balance sum
-    # overflows to inf
-    @pytest.mark.parametrize("pool", [
-        {**_SCENARIO_DOC["pool"], "balances": [1e-10, 1e-320]},
-        {**_SCENARIO_DOC["pool"], "balances": [1e308, 1e308]},
+    # scale: the balance product underflows to 0, and D overflows to inf
+    @pytest.mark.parametrize("pool, reason", [
+        ({**_SCENARIO_DOC["pool"], "balances": [1e-10, 1e-320]},
+         "the balance product underflows to 0"),
+        ({**_SCENARIO_DOC["pool"], "balances": [1e308, 1e308]},
+         "D exceeds the float range"),
     ], ids=["scenario-underflowing-balances", "scenario-overflowing-balances"])
-    def test_numerical_failure_is_three(self, tmp_path, pool, capsys):
+    def test_numerical_failure_is_three(self, tmp_path, pool, reason, capsys):
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({**_SCENARIO_DOC, "pool": pool}))
         assert main(["simulate", "--config", str(config),
                      "--out-dir", str(tmp_path / "o")]) == 3
-        assert "numerical failure: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and reason in err
 
     @pytest.mark.parametrize("size", [1e-160, 1e-301, 1e160])
     def test_tiny_and_huge_pools_simulate(self, tmp_path, size):
@@ -699,6 +716,39 @@ class TestExitCodes:
         assert len(pipeline.read_price_samples(str(out / "prices.csv"))) > 0
         with open(out / "trades.csv") as fh:
             assert len(fh.readlines()) > 100
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("command, name, field", _FLOAT_COLUMNS)
+    def test_non_finite_field_is_two(self, scenario_dir, tmp_path, command,
+                                     name, field, value, capsys):
+        # float() reads each of these; a nan amount or an inf price went
+        # through to metric files written with exit code 0
+        data = tmp_path / "data"
+        shutil.copytree(scenario_dir[0], data)
+        for kind, file in (("metric", "m.csv"), ("labels", "labels.csv"),
+                           ("changepoints", "cp.csv"),
+                           ("scores", "scores.csv")):
+            pipeline.write_csv(str(data / file), *FORMATS[kind][:2])
+        path = data / name
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][rows[0].index(field)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = str(tmp_path / "o")
+        argv = {
+            "metrics": ["metrics", "--data-dir", str(data), "--out-dir", out],
+            "detect": ["detect", "--metric-file", str(path),
+                       "--out-dir", out],
+            "score": ["score", "--labels", str(data / "labels.csv"),
+                      "--changepoints", str(data / "cp.csv"), "--pool", "p",
+                      "--metric", "m", "--out", str(tmp_path / "s.csv")],
+            "report": ["report", "--scores", str(path), "--out-dir", out],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: field {field} must be a finite number, "
+            f"got {value!r}\n")
 
     def test_overflowing_observation_is_three(self, tmp_path, capsys):
         metric = str(tmp_path / "m.csv")

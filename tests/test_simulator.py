@@ -24,7 +24,6 @@ from depegwatch.simulator import (
 )
 from depegwatch.stableswap import (
     PoolState,
-    compute_d,
     invariant_residual,
     virtual_price,
 )
@@ -181,8 +180,7 @@ class TestRunScenario:
         for snap in out.stream.snapshots:
             state = PoolState(snap.balances, amp=50.0, fee=0.0004,
                               lp_supply=snap.lp_supply)
-            sol = compute_d(state)
-            assert abs(invariant_residual(state, sol.d)) < 1e-10 * sol.d
+            assert abs(invariant_residual(state, state.d)) < 1e-10 * state.d
 
     def test_informed_selling_pushes_flow_negative(self):
         out = run_scenario(scenario(seed=1234, duration=4 * DAY))

@@ -11,11 +11,8 @@ import oracles
 from depegwatch import simulator, stableswap
 from depegwatch.core import NumericalError, TokenId, ValidationError
 from depegwatch.stableswap import (
-    InvariantSolution,
     PoolState,
     apply_swap,
-    compute_d,
-    get_dy,
     invariant_residual,
     lp_share_price,
     marginal_price,
@@ -49,22 +46,31 @@ class TestPoolState:
         with pytest.raises(ValidationError):
             PoolState((1e6, 1e6), amp=0.0)
 
+    @pytest.mark.parametrize("balances, amp", [
+        ((math.nan, 4e6, 5e6), 80.0),
+        ((1e6, math.inf), 80.0),
+        ((1e6, 1e6), math.nan),
+        ((1e6, 1e6), math.inf),
+    ], ids=["nan-balance", "inf-balance", "nan-amp", "inf-amp"])
+    def test_non_finite_rejected(self, balances, amp):
+        # a nan balance made ``d`` nan, and an inf amp passed
+        with pytest.raises(ValidationError, match="finite"):
+            PoolState(balances, amp=amp)
+
 
 class TestComputeD:
     @pytest.mark.parametrize("amp", [1.0, 10.0, 100.0, 5000.0])
     def test_balanced_pool_d_is_sum(self, amp):
-        sol = compute_d(PoolState((1e6, 1e6, 1e6), amp=amp))
-        assert sol.d == pytest.approx(3e6, rel=1e-14)
+        assert PoolState((1e6, 1e6, 1e6), amp=amp).d == pytest.approx(
+            3e6, rel=1e-14)
 
     def test_imbalanced_pool_residual(self):
         state = PoolState((2e6, 1e6), amp=100.0)
-        sol = compute_d(state)
-        assert abs(invariant_residual(state, sol.d)) < 1e-10 * sol.d
+        assert abs(invariant_residual(state, state.d)) < 1e-10 * state.d
 
     def test_against_bisection_oracle(self):
         state = PoolState((1.0, 1.0), amp=1.0)
-        sol = compute_d(state)
-        assert sol.d == pytest.approx(bisection_d(state), rel=1e-9)
+        assert state.d == pytest.approx(bisection_d(state), rel=1e-9)
 
     @pytest.mark.parametrize("balances,amp", [
         ((3e6, 1e6), 20.0),
@@ -73,19 +79,18 @@ class TestComputeD:
     ])
     def test_oracle_cross_checks(self, balances, amp):
         state = PoolState(balances, amp=amp)
-        assert compute_d(state).d == pytest.approx(bisection_d(state), rel=1e-9)
+        assert state.d == pytest.approx(bisection_d(state), rel=1e-9)
 
     def test_rejects_zero_balance(self):
         with pytest.raises(ValidationError):
-            compute_d(PoolState((1e6, 0.0), amp=10.0))
+            PoolState((1e6, 0.0), amp=10.0).d
 
     @given(st.lists(st.floats(1e3, 1e7), min_size=2, max_size=4),
            st.floats(1.0, 2000.0), st.floats(0.01, 100.0))
     @settings(max_examples=80, deadline=None)
     def test_homogeneity(self, balances, amp, scale):
-        base = compute_d(PoolState(tuple(balances), amp=amp)).d
-        scaled = compute_d(PoolState(tuple(scale * b for b in balances),
-                                     amp=amp)).d
+        base = PoolState(tuple(balances), amp=amp).d
+        scaled = PoolState(tuple(scale * b for b in balances), amp=amp).d
         assert scaled == pytest.approx(scale * base, rel=1e-9)
 
     @given(st.floats(1.0, 10.0), st.floats(10.0, 1000.0))
@@ -93,13 +98,8 @@ class TestComputeD:
     def test_bracket_property(self, ratio, amp):
         # max(x) <= D <= sum(x) for moderate imbalance
         state = PoolState((ratio * 1e6, 1e6), amp=amp)
-        d = compute_d(state).d
+        d = state.d
         assert max(state.balances) <= d <= sum(state.balances) * (1 + 1e-12)
-
-    def test_solution_fields(self):
-        sol = compute_d(PoolState((2e6, 1e6), amp=100.0))
-        assert isinstance(sol, InvariantSolution)
-        assert sol.iterations >= 1
 
 
 class TestScaleFree:
@@ -116,10 +116,9 @@ class TestScaleFree:
         base = [math.ldexp(b, -e) for b in balances]  # sum in [0.5, 1)
         scaled = [math.ldexp(b, k) for b in base]
         assume(min(scaled) >= sys.float_info.min)  # a normal pool
-        d, iterations = stableswap._d(base, amp)
-        assert iterations <= stableswap.MAX_ITERATIONS  # Newton, no bisection
+        d = stableswap._d(base, amp)
         d_k = math.ldexp(d, k)
-        assert stableswap._d(scaled, amp) == (d_k, iterations)
+        assert stableswap._d(scaled, amp) == d_k
         i = pair % len(base)
         j = (i + 1) % len(base)
         dx = frac * base[i]
@@ -141,38 +140,47 @@ class TestScaleFree:
         # at 1e-159 Newton went subnormal (relative error 1.2e-9), and from
         # 1e-160 down, or at 1e160, the solver raised NumericalError
         state = PoolState((size, size), amp=50.0)
-        sol = compute_d(state)
-        assert abs(sol.d - 2 * size) <= stableswap.REL_TOL * 2 * size
-        assert sol.d == state.d
-        assert abs(sol.residual) <= stableswap.REL_TOL * sol.d
+        assert abs(state.d - 2 * size) <= stableswap.REL_TOL * 2 * size
+        assert (abs(invariant_residual(state, state.d))
+                <= stableswap.REL_TOL * state.d)
 
     def test_balances_beyond_the_float_range_raise(self):
         # no power of two brings both balances into range at once
         with pytest.raises(NumericalError, match="span more than the float"):
             PoolState((1e300, 1e-300), amp=50.0).d
 
+    def test_overflowing_balance_sum(self):
+        # the sum overflowed to inf, and D was inf without an error
+        with pytest.raises(NumericalError, match="exceeds the float range"):
+            PoolState((1e308, 1e308), amp=50.0).d
+        # scaled by the largest balance, a D in the float range solves,
+        # exactly twice the D of the half pool, whose sum is finite
+        state = PoolState((1.79e308, 1e306), amp=1.0)
+        assert sum(state.balances) == math.inf
+        assert state.d == 2 * PoolState((0.895e308, 0.5e306), amp=1.0).d
+
 
 class TestGetDy:
     def test_zero_in_zero_out(self):
         state = PoolState((1e6, 1e6), amp=100.0)
-        assert get_dy(state, 0, 1, 0.0) == 0.0
+        assert apply_swap(state, 0, 1, 0.0)[1] == 0.0
 
     def test_small_swap_near_parity(self):
         state = PoolState((1e6, 1e6), amp=100.0, fee=0.0)
-        dy = get_dy(state, 0, 1, 1.0)
+        dy = apply_swap(state, 0, 1, 1.0)[1]
         assert dy <= 1.0
         assert dy == pytest.approx(1.0, abs=1e-5)
 
     def test_dy_below_dx_and_monotone(self):
         state = PoolState((1e6, 1e6), amp=100.0, fee=0.0)
         sizes = [10.0, 1e3, 1e5]
-        ratios = [get_dy(state, 0, 1, dx) / dx for dx in sizes]
+        ratios = [apply_swap(state, 0, 1, dx)[1] / dx for dx in sizes]
         assert all(r <= 1.0 for r in ratios)
         assert ratios == sorted(ratios, reverse=True)
 
     def test_post_swap_state_keeps_invariant(self):
         state = PoolState((1e6, 2e6, 5e5), amp=80.0, fee=0.0)
-        d0 = compute_d(state).d
+        d0 = state.d
         new_state, dy = apply_swap(state, 0, 2, 12345.0)
         assert dy > 0
         assert abs(invariant_residual(new_state, d0)) < 1e-10 * d0
@@ -180,14 +188,14 @@ class TestGetDy:
     def test_rejects_same_index(self):
         state = PoolState((1e6, 1e6), amp=10.0)
         with pytest.raises(ValidationError):
-            get_dy(state, 1, 1, 10.0)
+            apply_swap(state, 1, 1, 10.0)
 
     def test_fee_reduces_output(self):
         free = PoolState((1e6, 1e6), amp=100.0, fee=0.0)
         charged = PoolState((1e6, 1e6), amp=100.0, fee=0.001)
         dx = 5000.0
-        assert get_dy(charged, 0, 1, dx) == pytest.approx(
-            get_dy(free, 0, 1, dx) * 0.999, rel=1e-12)
+        assert apply_swap(charged, 0, 1, dx)[1] == pytest.approx(
+            apply_swap(free, 0, 1, dx)[1] * 0.999, rel=1e-12)
 
 
 class TestVirtualPrice:
@@ -309,9 +317,9 @@ class TestSwapOracle:
             dx = frac * state.balances[i]
             assert (_outcome(marginal_price, state, i, j)
                     == _oracle_outcome(oracles.marginal_price, state, i, j))
-            assert (_outcome(get_dy, state, i, j, dx)
+            assert (_outcome(lambda: apply_swap(state, i, j, dx)[1])
                     == _oracle_outcome(oracles.get_dy, state, i, j, dx))
-            assert virtual_price(state) == compute_d(state).d / state.lp_supply
+            assert virtual_price(state) == state.d / state.lp_supply
             swapped = _outcome(apply_swap, state, i, j, dx)
             assert swapped == _oracle_outcome(oracles.apply_swap, state, i,
                                               j, dx)
@@ -355,21 +363,20 @@ class TestSwapOracle:
         ((1e9, 1.0), 5000.0),
         ((2.5, 7.0, 1e-3, 4.0), 0.5),
     ])
-    def test_compute_d_keeps_iterations_and_residual(self, balances, amp):
+    def test_d_and_residual_equal_oracle(self, balances, amp):
         state = PoolState(balances, amp=amp)
-        sol = compute_d(state)
-        assert sol == oracles.compute_d(state)
-        assert sol.d == state.d
-        assert sol.residual == invariant_residual(state, state.d)
+        sol = oracles.compute_d(state)
+        assert state.d == sol.d
+        assert invariant_residual(state, state.d) == sol.residual
 
     def test_cached_d_leaves_value_semantics(self):
         state = PoolState((3e6, 1e6), amp=100.0, fee=0.0004, lp_supply=4e6)
         fresh = PoolState((3e6, 1e6), amp=100.0, fee=0.0004, lp_supply=4e6)
-        assert state.d == compute_d(fresh).d
+        assert state.d == stableswap._d(fresh.balances, fresh.amp)
         assert state == fresh and hash(state) == hash(fresh)
         assert repr(state) == repr(fresh)
         moved = replace(state, balances=(2e6, 2e6))
-        assert moved.d == compute_d(PoolState((2e6, 2e6), amp=100.0)).d
+        assert moved.d == PoolState((2e6, 2e6), amp=100.0).d
 
 
 class TestTrialPrice:
